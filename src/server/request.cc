@@ -130,6 +130,7 @@ bool Request::IsCheap() const {
     case RequestKind::kTrace:
     case RequestKind::kQuery:
     case RequestKind::kExpansionCheck:
+    case RequestKind::kCertify:
     case RequestKind::kEventAdd:
     case RequestKind::kEventRemove:
     case RequestKind::kEventSetPref:

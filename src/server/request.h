@@ -97,8 +97,9 @@ struct Request {
   double utility_per_provider = 0.0;    // expansion-check (§9 U)
   double extra_utility = 0.0;           // expansion-check (§9 T)
 
-  /// True for O(|HP|)-or-cheaper requests (events, queries, stats, ping)
-  /// that the broker serves from the priority lane.
+  /// True for O(|HP|)-or-cheaper requests (events, queries, stats, ping,
+  /// and the counter reads `expansion-check` and `certify`) that the
+  /// broker serves from the priority lane.
   bool IsCheap() const;
 
   /// True for requests that mutate monitored state or touch storage —

@@ -163,6 +163,73 @@ CircuitBreaker::Options WithBreakerMirror(CircuitBreaker::Options options) {
   return options;
 }
 
+// The census requests below scan a private copy of the config with no
+// service lock held (see DatabaseService::ConfigCopy), so they cannot reach
+// the monitor: events keep flowing while they run.
+
+Response Analyze(const privacy::PrivacyConfig& config, int num_threads,
+                 const Deadline& deadline) {
+  violation::ViolationDetector::Options options;
+  options.num_threads = num_threads;
+  options.deadline = deadline;
+  violation::ViolationDetector detector(&config, options);
+  Result<violation::ViolationReport> report = detector.Analyze();
+  if (!report.ok()) return Err(report.status());
+  const violation::ViolationReport& r = report.value();
+  return Ok("providers=" + std::to_string(r.num_providers()) +
+            " violated=" + std::to_string(r.num_violated) +
+            " pw=" + Num(r.ProbabilityOfViolation()) +
+            " total_severity=" + Num(r.total_severity));
+}
+
+Response WhatIf(const privacy::PrivacyConfig& config, int num_threads,
+                const Request& request, const Deadline& deadline) {
+  Result<privacy::Dimension> dimension =
+      privacy::DimensionFromName(request.dimension);
+  if (!dimension.ok()) return Err(dimension.status());
+  if (dimension.value() == privacy::Dimension::kPurpose) {
+    return Err(Status::InvalidArgument(
+        "whatif widens an ordered dimension (v|g|r), not purpose"));
+  }
+  violation::WhatIfAnalyzer::Options options;
+  options.extra_utility_per_step = request.extra_utility_per_step;
+  options.detector_options.num_threads = num_threads;
+  options.detector_options.deadline = deadline;
+  violation::WhatIfAnalyzer analyzer(&config, options);
+  Result<std::vector<violation::ExpansionPoint>> points =
+      analyzer.RunSchedule(violation::WhatIfAnalyzer::UniformSchedule(
+          dimension.value(), request.steps));
+  if (!points.ok()) return Err(points.status());
+  const violation::ExpansionPoint& last = points.value().back();
+  int justified = 0;
+  for (const violation::ExpansionPoint& point : points.value()) {
+    if (point.justified) ++justified;
+  }
+  return Ok("points=" + std::to_string(points.value().size()) +
+            " justified=" + std::to_string(justified) +
+            " final_pw=" + Num(last.p_violation) +
+            " final_pdefault=" + Num(last.p_default) +
+            " final_n_remaining=" + std::to_string(last.n_remaining) +
+            " break_even_extra_utility=" +
+            Num(last.break_even_extra_utility));
+}
+
+Response Search(const privacy::PrivacyConfig& config, int num_threads,
+                const Request& request, const Deadline& deadline) {
+  violation::SearchOptions options;
+  options.value_model = violation::MakeLinearExposureValue(request.value_scale);
+  options.max_steps = request.max_steps;
+  options.detector_options.num_threads = num_threads;
+  options.detector_options.deadline = deadline;
+  Result<violation::SearchResult> result =
+      violation::GreedyPolicySearch(config, options);
+  if (!result.ok()) return Err(result.status());
+  const violation::SearchResult& r = result.value();
+  return Ok("accepted_moves=" + std::to_string(r.trajectory.size()) +
+            " best_utility=" + Num(r.best_utility) +
+            " baseline_utility=" + Num(r.baseline_utility));
+}
+
 }  // namespace
 
 Result<std::unique_ptr<DatabaseService>> DatabaseService::Create(
@@ -311,8 +378,14 @@ Response DatabaseService::ExecuteLocked(const Request& request,
     case RequestKind::kTrace:
       return Ok(obs::Tracer::Default().SnapshotJson());
     case RequestKind::kAnalyze: {
+      Response response =
+          Analyze(ConfigCopy(), options_.num_threads, deadline);
+      // The scan published the copy's P(W) to the gauges the monitor
+      // keeps live; an event may have landed since, so restore the
+      // monitor's current values.
       ReaderMutexLock lock(mu_);
-      return Analyze(deadline);
+      monitor_.PublishGauges();
+      return response;
     }
     case RequestKind::kCertify: {
       ReaderMutexLock lock(mu_);
@@ -322,14 +395,10 @@ Response DatabaseService::ExecuteLocked(const Request& request,
       ReaderMutexLock lock(mu_);
       return Estimate(request, deadline);
     }
-    case RequestKind::kWhatIf: {
-      ReaderMutexLock lock(mu_);
-      return WhatIf(request, deadline);
-    }
-    case RequestKind::kSearch: {
-      ReaderMutexLock lock(mu_);
-      return Search(request, deadline);
-    }
+    case RequestKind::kWhatIf:
+      return WhatIf(ConfigCopy(), options_.num_threads, request, deadline);
+    case RequestKind::kSearch:
+      return Search(ConfigCopy(), options_.num_threads, request, deadline);
     case RequestKind::kQuery: {
       ReaderMutexLock lock(mu_);
       return Query(request);
@@ -361,18 +430,9 @@ Response DatabaseService::ExecuteLocked(const Request& request,
   return Err(Status::Internal("unhandled request kind"));
 }
 
-Response DatabaseService::Analyze(const Deadline& deadline) {
-  violation::ViolationDetector::Options options;
-  options.num_threads = options_.num_threads;
-  options.deadline = deadline;
-  violation::ViolationDetector detector(&monitor_.config(), options);
-  Result<violation::ViolationReport> report = detector.Analyze();
-  if (!report.ok()) return Err(report.status());
-  const violation::ViolationReport& r = report.value();
-  return Ok("providers=" + std::to_string(r.num_providers()) +
-            " violated=" + std::to_string(r.num_violated) +
-            " pw=" + Num(r.ProbabilityOfViolation()) +
-            " total_severity=" + Num(r.total_severity));
+privacy::PrivacyConfig DatabaseService::ConfigCopy() {
+  ReaderMutexLock lock(mu_);
+  return monitor_.config();
 }
 
 Response DatabaseService::Certify(const Request& request,
@@ -380,9 +440,8 @@ Response DatabaseService::Certify(const Request& request,
   if (Status due = deadline.Check("certify"); !due.ok()) {
     return Err(std::move(due));
   }
-  violation::ViolationReport report = monitor_.Snapshot();
-  Result<violation::AlphaCertification> cert =
-      violation::CertifyAlphaPpdb(report, request.alpha);
+  Result<violation::AlphaCertification> cert = violation::CertifyAlphaPpdb(
+      monitor_.num_violated(), monitor_.num_providers(), request.alpha);
   if (!cert.ok()) return Err(cert.status());
   const violation::AlphaCertification& c = cert.value();
   return Ok("alpha=" + Num(c.alpha) + " pw=" + Num(c.p_violation) +
@@ -416,54 +475,6 @@ Response DatabaseService::Estimate(const Request& request,
             " trials=" + std::to_string(e.trials) +
             " hits=" + std::to_string(e.hits) + " ci95=[" + Num(e.ci95.lo) +
             "," + Num(e.ci95.hi) + "]");
-}
-
-Response DatabaseService::WhatIf(const Request& request,
-                                 const Deadline& deadline) {
-  Result<privacy::Dimension> dimension =
-      privacy::DimensionFromName(request.dimension);
-  if (!dimension.ok()) return Err(dimension.status());
-  if (dimension.value() == privacy::Dimension::kPurpose) {
-    return Err(Status::InvalidArgument(
-        "whatif widens an ordered dimension (v|g|r), not purpose"));
-  }
-  violation::WhatIfAnalyzer::Options options;
-  options.extra_utility_per_step = request.extra_utility_per_step;
-  options.detector_options.num_threads = options_.num_threads;
-  options.detector_options.deadline = deadline;
-  violation::WhatIfAnalyzer analyzer(&monitor_.config(), options);
-  Result<std::vector<violation::ExpansionPoint>> points =
-      analyzer.RunSchedule(violation::WhatIfAnalyzer::UniformSchedule(
-          dimension.value(), request.steps));
-  if (!points.ok()) return Err(points.status());
-  const violation::ExpansionPoint& last = points.value().back();
-  int justified = 0;
-  for (const violation::ExpansionPoint& point : points.value()) {
-    if (point.justified) ++justified;
-  }
-  return Ok("points=" + std::to_string(points.value().size()) +
-            " justified=" + std::to_string(justified) +
-            " final_pw=" + Num(last.p_violation) +
-            " final_pdefault=" + Num(last.p_default) +
-            " final_n_remaining=" + std::to_string(last.n_remaining) +
-            " break_even_extra_utility=" +
-            Num(last.break_even_extra_utility));
-}
-
-Response DatabaseService::Search(const Request& request,
-                                 const Deadline& deadline) {
-  violation::SearchOptions options;
-  options.value_model = violation::MakeLinearExposureValue(request.value_scale);
-  options.max_steps = request.max_steps;
-  options.detector_options.num_threads = options_.num_threads;
-  options.detector_options.deadline = deadline;
-  Result<violation::SearchResult> result =
-      violation::GreedyPolicySearch(monitor_.config(), options);
-  if (!result.ok()) return Err(result.status());
-  const violation::SearchResult& r = result.value();
-  return Ok("accepted_moves=" + std::to_string(r.trajectory.size()) +
-            " best_utility=" + Num(r.best_utility) +
-            " baseline_utility=" + Num(r.baseline_utility));
 }
 
 Response DatabaseService::Event(const Request& request) {

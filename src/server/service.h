@@ -35,11 +35,16 @@ namespace ppdb::server {
 /// checkpoint on the next event and keeps events failing `kUnavailable`
 /// until one succeeds.
 ///
-/// Concurrency: analytics (`analyze`, `certify`, `estimate`, `whatif`,
-/// `search`, queries) take a shared lock and run concurrently with each
-/// other; events and saves take an exclusive lock. The heavy analytics
-/// parallelize internally through the engine's own `ThreadPool` use, so
-/// shared-locking them does not serialize the actual compute.
+/// Concurrency: events, saves and `driftcheck` take the exclusive lock;
+/// queries, `stats`, `expansion-check`, `certify` and `estimate` take the
+/// shared lock. The census scans (`analyze`, `whatif`, `search`) hold the
+/// shared lock only while they copy the config, then scan that private
+/// copy with no lock held, so events and queries keep flowing during an
+/// O(N·|HP|) scan. The copy is taken under the lock, so a scan still never
+/// sees an unacknowledged event. `certify` reads the view's O(1) counters
+/// (Def. 3 needs only N and the violated count) and rides the priority
+/// lane. The scans parallelize internally through the engine's own
+/// `ThreadPool`.
 ///
 /// Degraded mode: every save — the periodic live-monitor checkpoint and the
 /// explicit `save` request — passes through the circuit breaker. After
@@ -129,14 +134,13 @@ class DatabaseService {
 
   Response ExecuteLocked(const Request& request, const Deadline& deadline)
       PPDB_EXCLUDES(mu_);
-  Response Analyze(const Deadline& deadline) PPDB_REQUIRES_SHARED(mu_);
+  /// The monitored config, copied under the shared lock: what a census
+  /// scan runs on after the lock is released. O(N·|HP|) to copy, several
+  /// times cheaper than one scan.
+  privacy::PrivacyConfig ConfigCopy() PPDB_EXCLUDES(mu_);
   Response Certify(const Request& request, const Deadline& deadline)
       PPDB_REQUIRES_SHARED(mu_);
   Response Estimate(const Request& request, const Deadline& deadline)
-      PPDB_REQUIRES_SHARED(mu_);
-  Response WhatIf(const Request& request, const Deadline& deadline)
-      PPDB_REQUIRES_SHARED(mu_);
-  Response Search(const Request& request, const Deadline& deadline)
       PPDB_REQUIRES_SHARED(mu_);
   Response Event(const Request& request) PPDB_REQUIRES(mu_);
   Response Query(const Request& request) PPDB_REQUIRES_SHARED(mu_);
@@ -155,11 +159,12 @@ class DatabaseService {
   const Options options_;
   storage::RecoveryReport recovery_;
 
-  /// Guards monitor_ + database_. Shared = analytics and queries;
-  /// exclusive = events and saves. While held the service may acquire the
-  /// journal (event append), the breaker (save gating), the thread pool
-  /// (sharded analytics) and the tracer clock (span timestamps) — all
-  /// below it in the documented global lock order.
+  /// Guards monitor_ + database_. Shared = queries, certify, estimate and
+  /// the config copy census scans run on; exclusive = events, saves and
+  /// driftcheck. While held the service may acquire the journal (event
+  /// append), the breaker (save gating), the thread pool (sharded
+  /// analytics) and the tracer clock (span timestamps) — all below it in
+  /// the documented global lock order.
   SharedMutex mu_{"service"} PPDB_LOCK_LEVEL(service)
       PPDB_ACQUIRED_AFTER(broker)
       PPDB_ACQUIRED_BEFORE(journal, breaker, pool);

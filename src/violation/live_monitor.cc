@@ -7,20 +7,13 @@
 
 namespace ppdb::violation {
 
-namespace {
-
-/// Mirrors the view's O(1) aggregates into the violation gauges. Called
-/// after every population change so a scrape between full scans still sees
-/// current values.
-void PublishGauges(const LivePopulationMonitor& monitor) {
+void LivePopulationMonitor::PublishGauges() const {
   const ViolationMetrics& metrics = ViolationMetrics::Get();
-  metrics.pw->Set(monitor.ProbabilityOfViolation());
-  metrics.pdefault->Set(monitor.ProbabilityOfDefault());
-  metrics.total_severity->Set(monitor.TotalViolations());
-  metrics.providers->Set(static_cast<double>(monitor.num_providers()));
+  metrics.pw->Set(ProbabilityOfViolation());
+  metrics.pdefault->Set(ProbabilityOfDefault());
+  metrics.total_severity->Set(TotalViolations());
+  metrics.providers->Set(static_cast<double>(num_providers()));
 }
-
-}  // namespace
 
 Result<LivePopulationMonitor> LivePopulationMonitor::Create(
     privacy::PrivacyConfig config,
@@ -32,7 +25,7 @@ Result<LivePopulationMonitor> LivePopulationMonitor::Create(
   monitor.view_.emplace(std::move(view));
   // Registers the ppdb_violation_* families at startup and resets the
   // population gauges for this (new) monitored population.
-  PublishGauges(monitor);
+  monitor.PublishGauges();
   return monitor;
 }
 
@@ -73,7 +66,7 @@ Status LivePopulationMonitor::AddProvider(ProviderId provider,
   config_->preferences.ForProvider(provider);  // Creates the empty entry.
   config_->thresholds[provider] = threshold;
   PPDB_RETURN_NOT_OK(view_->OnProviderAdded(provider));
-  PublishGauges(*this);
+  PublishGauges();
   (void)CountEvent();  // Checkpoint outcome lands in last_checkpoint_status.
   return Status::OK();
 }
@@ -86,7 +79,7 @@ Status LivePopulationMonitor::RemoveProvider(ProviderId provider) {
   PPDB_RETURN_NOT_OK(config_->preferences.Erase(provider));
   config_->thresholds.erase(provider);
   PPDB_RETURN_NOT_OK(view_->OnProviderRemoved(provider));
-  PublishGauges(*this);
+  PublishGauges();
   (void)CountEvent();
   return Status::OK();
 }
@@ -98,7 +91,7 @@ Status LivePopulationMonitor::SetPreference(
   config_->preferences.ForProvider(provider).Set(attribute, tuple);
   PPDB_RETURN_NOT_OK(
       view_->OnPreferenceChanged(provider, attribute, tuple.purpose));
-  PublishGauges(*this);
+  PublishGauges();
   (void)CountEvent();
   return Status::OK();
 }
@@ -113,7 +106,7 @@ Status LivePopulationMonitor::RemovePreference(ProviderId provider,
   PPDB_RETURN_NOT_OK(
       config_->preferences.ForProvider(provider).Remove(attribute, purpose));
   PPDB_RETURN_NOT_OK(view_->OnPreferenceChanged(provider, attribute, purpose));
-  PublishGauges(*this);
+  PublishGauges();
   (void)CountEvent();
   return Status::OK();
 }
@@ -130,7 +123,7 @@ Status LivePopulationMonitor::SetThreshold(ProviderId provider,
   config_->thresholds[provider] = threshold;
   // Severity is unchanged; only the default bit can flip.
   PPDB_RETURN_NOT_OK(view_->OnThresholdChanged(provider));
-  PublishGauges(*this);
+  PublishGauges();
   (void)CountEvent();
   return Status::OK();
 }
@@ -139,7 +132,7 @@ Status LivePopulationMonitor::SetPolicy(privacy::HousePolicy policy) {
   PPDB_RETURN_NOT_OK(policy.ValidateAgainst(config_->scales));
   config_->policy = std::move(policy);
   PPDB_RETURN_NOT_OK(view_->OnPolicyChanged());
-  PublishGauges(*this);
+  PublishGauges();
   (void)CountEvent();
   return Status::OK();
 }

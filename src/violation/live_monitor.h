@@ -151,6 +151,12 @@ class LivePopulationMonitor {
   const ViolationView& view() const { return *view_; }
   ViolationView& view() { return *view_; }
 
+  /// Mirrors the view's O(1) aggregates into the ppdb_violation_* gauges.
+  /// Called after every population change so a scrape between full scans
+  /// still sees current values; owners call it again after a scan of an
+  /// older config copy overwrote them.
+  void PublishGauges() const;
+
   /// Materializes a full ViolationReport equivalent to running the batch
   /// detector now. O(N).
   ViolationReport Snapshot() const { return view_->Snapshot(); }

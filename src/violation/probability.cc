@@ -80,27 +80,36 @@ Result<TrialEstimate> EstimateDefaultProbability(const DefaultReport& report,
                    num_threads);
 }
 
-Result<AlphaCertification> CertifyAlphaPpdb(const ViolationReport& report,
+Result<AlphaCertification> CertifyAlphaPpdb(int64_t num_violated,
+                                            int64_t num_providers,
                                             double alpha, double confidence) {
   if (alpha < 0.0 || alpha > 1.0) {
     return Status::InvalidArgument("alpha must be in [0, 1]");
   }
-  if (report.providers.empty()) {
+  if (num_providers <= 0) {
     return Status::FailedPrecondition(
         "cannot certify an empty population");
   }
   AlphaCertification out;
   out.alpha = alpha;
-  out.num_providers = report.num_providers();
-  out.num_violated = report.num_violated;
-  out.p_violation = report.ProbabilityOfViolation();
+  out.num_providers = num_providers;
+  out.num_violated = num_violated;
+  // Σ_i w_i / N, the same expression as ViolationReport and ViolationView's
+  // ProbabilityOfViolation, so every overload certifies bitwise alike.
+  out.p_violation =
+      static_cast<double>(num_violated) / static_cast<double>(num_providers);
   out.certified = out.p_violation <= alpha;
   PPDB_ASSIGN_OR_RETURN(
       out.interval,
-      stats::WilsonInterval(report.num_violated, report.num_providers(),
-                            confidence));
+      stats::WilsonInterval(num_violated, num_providers, confidence));
   out.certified_with_margin = out.interval.hi <= alpha;
   return out;
+}
+
+Result<AlphaCertification> CertifyAlphaPpdb(const ViolationReport& report,
+                                            double alpha, double confidence) {
+  return CertifyAlphaPpdb(report.num_violated, report.num_providers(), alpha,
+                          confidence);
 }
 
 }  // namespace ppdb::violation

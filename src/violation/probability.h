@@ -68,8 +68,17 @@ struct AlphaCertification {
   bool certified_with_margin = false;
 };
 
-/// Certifies `report` against threshold `alpha` (Def. 3). Errors when alpha
-/// is outside [0, 1] or the report is empty.
+/// Certifies a population of `num_providers` with `num_violated` violated
+/// providers against threshold `alpha` (Def. 3). O(1): the census counts
+/// are all Def. 3 needs, so a maintained view can certify without a scan.
+/// Errors when alpha is outside [0, 1] or the population is empty.
+Result<AlphaCertification> CertifyAlphaPpdb(int64_t num_violated,
+                                            int64_t num_providers,
+                                            double alpha,
+                                            double confidence = 0.95);
+
+/// Certifies `report` against threshold `alpha` (Def. 3) from its census
+/// counts. Errors when alpha is outside [0, 1] or the report is empty.
 Result<AlphaCertification> CertifyAlphaPpdb(const ViolationReport& report,
                                             double alpha,
                                             double confidence = 0.95);

@@ -80,6 +80,9 @@ TEST(RequestBrokerTest, ExecutesWorkAndReportsStats) {
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done == 10; });
 
+  // A job's completion callback runs before the broker counts it
+  // completed; drain so every job is counted before the read.
+  broker.Drain();
   RequestBroker::StatsSnapshot stats = broker.Stats();
   EXPECT_EQ(stats.submitted, 10);
   EXPECT_EQ(stats.admitted, 10);
@@ -345,6 +348,9 @@ TEST(RequestBrokerTest, StatsSnapshotIsInternallyConsistent) {
   while (completions.load() < kWorkers + 4) std::this_thread::yield();
   check();
 
+  // A job's completion callback runs before the broker counts it
+  // completed; drain so every job is counted before the final read.
+  broker.Drain();
   RequestBroker::StatsSnapshot final_stats = broker.Stats();
   EXPECT_EQ(final_stats.shed, 4);
   EXPECT_EQ(final_stats.completed, kWorkers + 4);
@@ -401,6 +407,9 @@ TEST(RequestBrokerTest, ConstructorGaugeMirrorWritesAreSynchronized) {
   churn.join();
   while (completions.load() < 50) std::this_thread::yield();
 
+  // A job's completion callback runs before the broker counts it
+  // completed; drain so every job is counted before the read.
+  broker.Drain();
   RequestBroker::StatsSnapshot stats = broker.Stats();
   EXPECT_EQ(stats.num_workers, 2);
   EXPECT_EQ(stats.completed, 50);

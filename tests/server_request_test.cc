@@ -148,6 +148,11 @@ TEST(RequestTest, CheapAndWriteClassification) {
   // The drift check is a deliberate full re-analysis: normal lane.
   EXPECT_TRUE(parse("expansion-check 10 2").IsCheap());
   EXPECT_FALSE(parse("driftcheck").IsCheap());
+  // Certify reads the same counters (Def. 3 needs N and the violated
+  // count only): priority lane. The census scans stay on the normal lane.
+  EXPECT_TRUE(parse("certify 0.5").IsCheap());
+  EXPECT_FALSE(parse("whatif v 2").IsCheap());
+  EXPECT_FALSE(parse("estimate pw 100 1").IsCheap());
 
   EXPECT_TRUE(parse("event add 1 1").IsWrite());
   EXPECT_TRUE(parse("save").IsWrite());

@@ -2,18 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "privacy/policy_dsl.h"
 #include "server/request.h"
+#include "sim/population.h"
 #include "storage/database_io.h"
 #include "storage/fs.h"
 #include "tests/test_util.h"
+#include "violation/metrics.h"
 
 namespace ppdb::server {
 namespace {
@@ -509,6 +515,140 @@ TEST_F(JournaledServiceTest, ReplayedJournalConvergesViewDriftClean) {
   ASSERT_OK(provider.status);
   EXPECT_NE(provider.payload.find("violated=0"), std::string::npos)
       << provider.payload;
+}
+
+// --- census requests off the service lock --------------------------------
+
+/// Replaces the fixture database with a synthetic population of
+/// `providers` providers and |HP| = 8 (4 attributes x 2 purposes), so the
+/// census requests scan long enough to overlap other work.
+void SaveSyntheticPopulation(const std::filesystem::path& dir,
+                             int64_t providers) {
+  sim::PopulationConfig config;
+  config.num_providers = providers;
+  config.attributes = {{"age", 2.0, 45.0, 15.0},
+                       {"income", 4.0, 50.0, 20.0},
+                       {"zip", 3.0, 50.0, 10.0},
+                       {"diagnosis", 5.0, 0.0, 1.0}};
+  config.purposes = {"service", "marketing"};
+  ASSERT_OK_AND_ASSIGN(sim::Population population,
+                       sim::PopulationGenerator(config).Generate());
+  ASSERT_OK_AND_ASSIGN(
+      privacy::HousePolicy policy,
+      sim::MakeUniformPolicy(config.attributes, config.purposes, 0.5, 0.5,
+                             0.5, &population.config));
+  population.config.policy = std::move(policy);
+  storage::Database database;
+  database.config = std::move(population.config);
+  std::filesystem::remove_all(dir);
+  ASSERT_OK(storage::SaveDatabase(dir.string(), database));
+}
+
+/// A service with no journal and no periodic checkpoints, so an event
+/// costs only its view delta, and one analytics thread.
+Result<std::unique_ptr<DatabaseService>> CreateWithoutDurability(
+    const std::filesystem::path& dir, storage::FileSystem* fs) {
+  DatabaseService::Options options;
+  options.checkpoint_every_events = 0;
+  options.num_threads = 1;
+  options.journal_enabled = false;
+  return DatabaseService::Create(dir.string(), fs, options);
+}
+
+// A census scan runs on a private config copy with no service lock held,
+// so events and queries complete while it is still running instead of
+// queueing on the writer lock behind it.
+TEST_F(DatabaseServiceTest, EventsAndQueriesCompleteDuringACensusScan) {
+  ASSERT_NO_FATAL_FAILURE(SaveSyntheticPopulation(dir_, 4000));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DatabaseService> service,
+                       CreateWithoutDurability(dir_, faulty_.get()));
+
+  // One search step scores every single-level widening: 25 full scans.
+  const obs::Histogram& scans =
+      *violation::ViolationMetrics::Get().analyze_seconds;
+  const int64_t scans_before = scans.Count();
+  std::atomic<bool> search_done{false};
+  Response search;
+  std::thread census([&] {
+    search = Run(*service, "search 1 1.0");
+    search_done.store(true);
+  });
+  // Once the search's baseline scan has finished, it is running with 24
+  // scans to go.
+  while (scans.Count() == scans_before && !search_done.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+
+  const char* kLive[] = {
+      "event threshold 5 2.5", "query pw",
+      "event threshold 6 0.5", "query provider 5",
+      "event threshold 5 9",   "query pdefault",
+      "certify 0.5",           "expansion-check 10 2",
+      "stats",
+  };
+  for (const char* line : kLive) {
+    EXPECT_OK(Run(*service, line).status) << line;
+  }
+  EXPECT_FALSE(search_done.load())
+      << "live requests waited for the census scan to finish";
+  census.join();
+  ASSERT_OK(search.status);
+  EXPECT_NE(search.payload.find("best_utility="), std::string::npos);
+}
+
+// An analyze scans a copy that an event may have outdated by the time the
+// scan publishes its population gauges; the service then restores the
+// monitor's live values, so the gauges end on the acknowledged state.
+TEST_F(DatabaseServiceTest, GaugesEndOnTheLiveStateAfterAnOutdatedScan) {
+  ASSERT_NO_FATAL_FAILURE(SaveSyntheticPopulation(dir_, 4000));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DatabaseService> service,
+                       CreateWithoutDurability(dir_, faulty_.get()));
+
+  const obs::Gauge& providers = *violation::ViolationMetrics::Get().providers;
+  for (int added = 1; added <= 3; ++added) {
+    std::thread census([&] { EXPECT_OK(Run(*service, "analyze").status); });
+    // Lands while the scan runs on the copy taken before it.
+    std::this_thread::sleep_for(milliseconds(3));
+    EXPECT_OK(
+        Run(*service, "event add " + std::to_string(100000 + added) + " 1")
+            .status);
+    census.join();
+    EXPECT_EQ(providers.Value(), 4000.0 + added);
+  }
+}
+
+// The census answers are a function of the acknowledged state alone: a
+// burst of events applied and then undone leaves every payload
+// byte-identical.
+TEST_F(DatabaseServiceTest, CensusPayloadsDependOnlyOnTheState) {
+  std::unique_ptr<DatabaseService> service = MakeService();
+  const char* kCensus[] = {"analyze", "certify 0.6", "whatif v 2",
+                           "search 4 1.0"};
+  auto census = [&] {
+    std::vector<std::string> payloads;
+    for (const char* line : kCensus) {
+      Response response = Run(*service, line);
+      EXPECT_OK(response.status) << line;
+      payloads.push_back(response.payload);
+    }
+    return payloads;
+  };
+  const std::vector<std::string> before = census();
+
+  const char* kBurst[] = {"event add 9 100", "event threshold 1 5",
+                          "event pref 2 weight pr 0 0 0",
+                          "event pref 1 weight pr 1 1 1"};
+  for (const char* line : kBurst) ASSERT_OK(Run(*service, line).status);
+  const std::vector<std::string> during = census();
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_NE(during[i], before[i]) << kCensus[i];
+  }
+
+  const char* kUndo[] = {"event pref 1 weight pr 0 0 0",
+                         "event pref 2 weight pr 3 3 3",
+                         "event threshold 1 3", "event remove 9"};
+  for (const char* line : kUndo) ASSERT_OK(Run(*service, line).status);
+  EXPECT_EQ(census(), before);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tests/test_util.h"
 
 namespace ppdb::violation {
@@ -137,6 +139,56 @@ TEST(CertifyAlphaPpdbTest, RejectsBadArguments) {
   EXPECT_TRUE(CertifyAlphaPpdb(report, 1.1).status().IsInvalidArgument());
   ViolationReport empty;
   EXPECT_TRUE(CertifyAlphaPpdb(empty, 0.5).status().IsFailedPrecondition());
+}
+
+// The counts overload is what the service certifies with (from the view's
+// maintained counters); the report overload delegates to it. Every field
+// must agree bitwise, errors included.
+TEST(CertifyAlphaPpdbTest, CountsOverloadMatchesReportOverload) {
+  const int64_t populations[][2] = {{1, 0},   {1, 1},     {3, 1},
+                                    {7, 3},   {100, 5},   {1000, 333},
+                                    {999, 1}, {20000, 0}, {20000, 20000}};
+  for (const auto& [n, violated] : populations) {
+    const ViolationReport report = ReportWithViolations(n, violated);
+    for (double alpha : {0.0, 0.05, 1.0 / 3.0, 0.5, 1.0}) {
+      for (double confidence : {0.9, 0.95, 0.99}) {
+        SCOPED_TRACE(std::to_string(violated) + "/" + std::to_string(n) +
+                     " alpha=" + std::to_string(alpha) +
+                     " confidence=" + std::to_string(confidence));
+        ASSERT_OK_AND_ASSIGN(AlphaCertification from_report,
+                             CertifyAlphaPpdb(report, alpha, confidence));
+        ASSERT_OK_AND_ASSIGN(
+            AlphaCertification from_counts,
+            CertifyAlphaPpdb(violated, n, alpha, confidence));
+        EXPECT_EQ(from_counts.alpha, from_report.alpha);
+        EXPECT_EQ(from_counts.p_violation, from_report.p_violation);
+        EXPECT_EQ(from_counts.p_violation, report.ProbabilityOfViolation());
+        EXPECT_EQ(from_counts.certified, from_report.certified);
+        EXPECT_EQ(from_counts.num_providers, from_report.num_providers);
+        EXPECT_EQ(from_counts.num_violated, from_report.num_violated);
+        EXPECT_EQ(from_counts.interval.lo, from_report.interval.lo);
+        EXPECT_EQ(from_counts.interval.hi, from_report.interval.hi);
+        EXPECT_EQ(from_counts.certified_with_margin,
+                  from_report.certified_with_margin);
+      }
+    }
+  }
+
+  const ViolationReport report = ReportWithViolations(10, 1);
+  const ViolationReport empty;
+  for (double bad_alpha : {-0.1, 1.1}) {
+    Status by_report = CertifyAlphaPpdb(report, bad_alpha).status();
+    Status by_counts = CertifyAlphaPpdb(1, 10, bad_alpha).status();
+    EXPECT_TRUE(by_counts.IsInvalidArgument());
+    EXPECT_EQ(by_counts.ToString(), by_report.ToString());
+    // The alpha range is checked before the population.
+    EXPECT_TRUE(CertifyAlphaPpdb(0, 0, bad_alpha).status().IsInvalidArgument());
+    EXPECT_TRUE(CertifyAlphaPpdb(empty, bad_alpha).status().IsInvalidArgument());
+  }
+  Status by_report = CertifyAlphaPpdb(empty, 0.5).status();
+  Status by_counts = CertifyAlphaPpdb(0, 0, 0.5).status();
+  EXPECT_TRUE(by_counts.IsFailedPrecondition());
+  EXPECT_EQ(by_counts.ToString(), by_report.ToString());
 }
 
 TEST(CertifyAlphaPpdbTest, ZeroAlphaRequiresZeroViolations) {
