@@ -16,9 +16,9 @@ namespace ppdb {
 /// Clang's Thread Safety Analysis can only check lock discipline against
 /// types it can see annotations on, and libstdc++'s mutexes carry none. All
 /// ppdb code therefore uses these wrappers instead of the std types
-/// directly (`tools/ppdb_lint.sh` enforces it), so that `-Wthread-safety
-/// -Werror` turns "this field is touched without its lock" into a compile
-/// error rather than a code-review hope.
+/// directly (`ppdb_analyze`'s std-sync rule enforces it), so that
+/// `-Wthread-safety -Werror` turns "this field is touched without its lock"
+/// into a compile error rather than a code-review hope.
 ///
 /// Beyond forwarding to the underlying std primitive, each wrapper carries
 /// an optional construction-time name (its level in the documented global

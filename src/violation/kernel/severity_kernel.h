@@ -14,7 +14,7 @@
 ///
 /// The kernel layer is the only part of the tree allowed to include
 /// platform intrinsics headers (<immintrin.h>, <arm_neon.h>; enforced by
-/// tools/ppdb_lint.sh). Three implementations are provided — portable
+/// ppdb_analyze). Three implementations are provided — portable
 /// scalar (always compiled), AVX2 (x86-64) and NEON (aarch64) — selected
 /// at runtime behind one dispatched entry point. Every implementation is
 /// bitwise-identical: per-lane IEEE-754 operations are issued in exactly

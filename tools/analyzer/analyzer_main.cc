@@ -1,20 +1,12 @@
-// ppdb_analyze — in-tree static analyzer for the ppdb codebase.
+// ppdb_analyze — in-tree static analyzer for the ppdb codebase and its one
+// static gate. Every run checks every rule over a lexed (not compiled) view
+// of src/: lock-order (lock_order.h), fp-accumulate and unordered-iter
+// (determinism.h), and the project rules (project_rules.h). --dot also
+// writes the lock-order graph as DOT.
 //
-// Two passes over a lexed (not compiled) view of src/:
-//   lock-order    — checks every Mutex/SharedMutex member carries a
-//                   PPDB_LOCK_LEVEL place in the documented global order,
-//                   that the declared order is acyclic, and that every
-//                   observed acquisition-while-holding edge is permitted
-//                   by it. Optionally emits the graph as DOT (--dot).
-//   determinism   — flags order-sensitive FP accumulation outside the
-//                   blessed reduction helpers, reductions over
-//                   hash-ordered iteration, and nondeterministic sources
-//                   (time/rand/random_device) outside common/rng.cc.
-//
-// Usage: ppdb_analyze [--root DIR] [--pass lock-order|determinism|all]
-//                     [--dot FILE]
+// Usage: ppdb_analyze [--root DIR] [--dot FILE]
 // Exit 0 when clean, 1 on findings, 2 on usage/IO errors.
-// Findings print as `file:line: message` (relative to --root).
+// Findings print as `file:line: [check] message` (relative to --root).
 
 #include <algorithm>
 #include <filesystem>
@@ -25,21 +17,16 @@
 
 #include "determinism.h"
 #include "lock_order.h"
+#include "project_rules.h"
 #include "source_lexer.h"
 
 namespace fs = std::filesystem;
+namespace analyzer = ppdb::analyzer;
 
 namespace {
 
-bool HasSuffix(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
-
 int Usage() {
-  std::cerr << "usage: ppdb_analyze [--root DIR] "
-               "[--pass lock-order|determinism|all] [--dot FILE]\n";
+  std::cerr << "usage: ppdb_analyze [--root DIR] [--dot FILE]\n";
   return 2;
 }
 
@@ -47,14 +34,11 @@ int Usage() {
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string pass = "all";
   std::string dot_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--pass" && i + 1 < argc) {
-      pass = argv[++i];
     } else if (arg == "--dot" && i + 1 < argc) {
       dot_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
@@ -64,13 +48,9 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (pass != "all" && pass != "lock-order" && pass != "determinism") {
-    return Usage();
-  }
 
-  const fs::path src = fs::path(root) / "src";
   std::error_code ec;
-  if (!fs::is_directory(src, ec)) {
+  if (!fs::is_directory(fs::path(root) / "src", ec)) {
     std::cerr << "ppdb_analyze: no src/ under --root " << root << "\n";
     return 2;
   }
@@ -78,66 +58,65 @@ int main(int argc, char** argv) {
   // Deterministic file order (the analyzer had better practice what it
   // preaches): collect, then sort by relative path.
   std::vector<std::string> rels;
-  for (const fs::directory_entry& entry :
-       fs::recursive_directory_iterator(src)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string path = entry.path().generic_string();
-    if (!HasSuffix(path, ".h") && !HasSuffix(path, ".cc")) continue;
-    rels.push_back(
-        fs::relative(entry.path(), fs::path(root)).generic_string());
+  for (const char* dir : {"src", "tests", "bench", "examples", "tools"}) {
+    const fs::path top = fs::path(root) / dir;
+    if (!fs::is_directory(top, ec)) continue;
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(top)) {
+      const std::string ext = entry.path().extension().string();
+      if (!entry.is_regular_file() ||
+          (ext != ".h" && ext != ".cc" && ext != ".cpp")) {
+        continue;
+      }
+      rels.push_back(
+          fs::relative(entry.path(), fs::path(root)).generic_string());
+    }
   }
   std::sort(rels.begin(), rels.end());
 
-  std::vector<ppdb::analyzer::SourceFile> files;
+  std::vector<analyzer::SourceFile> files;  // every tree read
+  std::vector<analyzer::SourceFile> src;    // src/ *.cc and *.h
   files.reserve(rels.size());
   for (const std::string& rel : rels) {
-    ppdb::analyzer::SourceFile file;
+    analyzer::SourceFile file;
     const std::string full = (fs::path(root) / rel).generic_string();
-    if (!ppdb::analyzer::LoadSourceFile(full, rel, &file)) {
+    if (!analyzer::LoadSourceFile(full, rel, &file)) {
       std::cerr << "ppdb_analyze: cannot read " << full << "\n";
       return 2;
     }
+    if (analyzer::IsSrcFile(rel)) src.push_back(file);
     files.push_back(std::move(file));
   }
 
-  int findings = 0;
-  if (pass == "all" || pass == "lock-order") {
-    const ppdb::analyzer::LockOrderResult result =
-        ppdb::analyzer::AnalyzeLockOrder(files);
-    for (const ppdb::analyzer::Finding& finding : result.errors) {
-      if (finding.file.empty()) {
-        std::cout << "lock-order: " << finding.message << "\n";
-      } else {
-        std::cout << finding.file << ":" << finding.line << ": "
-                  << finding.message << "\n";
-      }
-      ++findings;
+  const analyzer::LockOrderResult lock_order = analyzer::AnalyzeLockOrder(src);
+  if (!dot_path.empty()) {
+    std::ofstream out(dot_path);
+    if (!out) {
+      std::cerr << "ppdb_analyze: cannot write " << dot_path << "\n";
+      return 2;
     }
-    if (!dot_path.empty()) {
-      std::ofstream out(dot_path);
-      if (!out) {
-        std::cerr << "ppdb_analyze: cannot write " << dot_path << "\n";
-        return 2;
-      }
-      out << ppdb::analyzer::RenderDot(result);
-      std::cerr << "ppdb_analyze: lock graph written to " << dot_path
-                << " (" << result.levels.size() << " levels, "
-                << result.observed_edges.size() << " observed edges)\n";
-    }
+    out << analyzer::RenderDot(lock_order);
+    std::cerr << "ppdb_analyze: lock graph written to " << dot_path << " ("
+              << lock_order.levels.size() << " levels, "
+              << lock_order.observed_edges.size() << " observed edges)\n";
   }
-  if (pass == "all" || pass == "determinism") {
-    for (const ppdb::analyzer::Finding& finding :
-         ppdb::analyzer::AnalyzeDeterminism(files)) {
-      std::cout << finding.file << ":" << finding.line << ": "
-                << finding.message << "\n";
-      ++findings;
-    }
+  std::vector<analyzer::Finding> findings = lock_order.errors;
+  for (const auto& more : {analyzer::AnalyzeDeterminism(src),
+                           analyzer::AnalyzeProjectRules(files, root)}) {
+    findings.insert(findings.end(), more.begin(), more.end());
   }
-  if (findings != 0) {
-    std::cout << "ppdb_analyze: " << findings << " finding(s)\n";
+  for (const analyzer::Finding& finding : findings) {
+    if (!finding.file.empty()) {
+      std::cout << finding.file << ":" << finding.line << ": ";
+    }
+    std::cout << "[" << finding.check << "] " << finding.message << "\n";
+  }
+  if (!findings.empty()) {
+    std::cout << "ppdb_analyze: " << findings.size()
+              << " finding(s); silence a false positive with "
+                 "'// ppdb-lint: allow(<check>)' and a justification\n";
     return 1;
   }
-  std::cerr << "ppdb_analyze: clean (" << files.size() << " files, pass="
-            << pass << ")\n";
+  std::cerr << "ppdb_analyze: clean (" << files.size() << " files)\n";
   return 0;
 }

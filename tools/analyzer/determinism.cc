@@ -8,10 +8,6 @@
 namespace ppdb::analyzer {
 namespace {
 
-bool StartsWith(const std::string& text, const std::string& prefix) {
-  return text.compare(0, prefix.size(), prefix) == 0;
-}
-
 /// fp-accumulate scope: src/violation/ minus the blessed reduction
 /// helpers, whose pairwise/blocked sums *define* the canonical answer.
 bool InFpScope(const std::string& rel) {
@@ -25,26 +21,6 @@ bool InFpScope(const std::string& rel) {
 /// feeds it.
 bool InUnorderedScope(const std::string& rel) {
   return StartsWith(rel, "src/violation/") || StartsWith(rel, "src/server/");
-}
-
-/// nondet-source scope: everywhere under src/ except the one blessed
-/// randomness source.
-bool InNondetScope(const std::string& rel) {
-  return StartsWith(rel, "src/") && rel != "src/common/rng.cc" &&
-         rel != "src/common/rng.h";
-}
-
-size_t MatchForward(const std::vector<Token>& tokens, size_t open,
-                    const std::string& open_text,
-                    const std::string& close_text) {
-  int balance = 0;
-  for (size_t i = open; i < tokens.size(); ++i) {
-    if (tokens[i].text == open_text) ++balance;
-    if (tokens[i].text == close_text) {
-      if (--balance == 0) return i;
-    }
-  }
-  return tokens.size();
 }
 
 /// Token-index ranges of loop bodies (for/while/do), including braceless
@@ -155,13 +131,6 @@ std::set<std::string> UnorderedNames(const std::vector<Token>& tokens) {
   return names;
 }
 
-std::string PairedHeader(const std::string& rel) {
-  if (rel.size() > 3 && rel.compare(rel.size() - 3, 3, ".cc") == 0) {
-    return rel.substr(0, rel.size() - 3) + ".h";
-  }
-  return rel;
-}
-
 void CheckFpAccumulate(const SourceFile& file,
                        const std::set<std::string>& fp_names,
                        const std::vector<LoopBody>& loops,
@@ -194,7 +163,7 @@ void CheckFpAccumulate(const SourceFile& file,
     if (!accumulates || !InsideAnyLoop(loops, i)) continue;
     if (HasAllowMarker(file.lines, line, "fp-accumulate")) continue;
     findings->push_back(
-        {file.rel, line,
+        {"fp-accumulate", file.rel, line,
          "floating-point accumulation into '" + target +
              "' inside a loop; order-sensitive FP reduction outside "
              "analysis_core.h/kernel/ breaks bit-reproducibility — use a "
@@ -240,40 +209,11 @@ void CheckUnorderedIter(const SourceFile& file,
     const int line = tokens[loop.header_begin].line;
     if (HasAllowMarker(file.lines, line, "unordered-iter")) continue;
     findings->push_back(
-        {file.rel, line,
+        {"unordered-iter", file.rel, line,
          "reduction over hash-ordered iteration of '" + iterated +
              "'; unordered-container order varies across runs and "
              "libstdc++ versions — impose an order first or justify with "
              "'// ppdb-lint: allow(unordered-iter)'"});
-  }
-}
-
-void CheckNondetSources(const SourceFile& file,
-                        std::vector<Finding>* findings) {
-  const std::vector<Token>& tokens = file.tokens;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    const Token& token = tokens[i];
-    if (token.kind != Token::Kind::kIdent) continue;
-    bool hit = false;
-    if (token.text == "random_device") {
-      hit = true;
-    } else if (token.text == "time" || token.text == "rand" ||
-               token.text == "srand") {
-      // Only call sites; skip member access (`foo.time(...)` is not
-      // ::time) and declarations of unrelated identifiers.
-      const bool called = i + 1 < tokens.size() && tokens[i + 1].text == "(";
-      const bool member =
-          i > 0 && (tokens[i - 1].text == "." || tokens[i - 1].text == "->");
-      hit = called && !member;
-    }
-    if (!hit) continue;
-    if (HasAllowMarker(file.lines, token.line, "nondet-source")) continue;
-    findings->push_back(
-        {file.rel, token.line,
-         "nondeterministic source '" + token.text +
-             "' outside common/rng.cc; all randomness must flow through "
-             "the seeded SplitMix64 (common/rng.h) so runs replay — or "
-             "justify with '// ppdb-lint: allow(nondet-source)'"});
   }
 }
 
@@ -305,9 +245,6 @@ std::vector<Finding> AnalyzeDeterminism(const std::vector<SourceFile>& files) {
     if (InUnorderedScope(file.rel)) {
       CheckUnorderedIter(file, merged(unordered_by_file, file.rel), loops,
                          &findings);
-    }
-    if (InNondetScope(file.rel)) {
-      CheckNondetSources(file, &findings);
     }
   }
   return findings;

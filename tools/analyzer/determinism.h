@@ -10,7 +10,9 @@
 ///
 /// The paper's violation counts (Eqs. 12-14) must be bit-reproducible
 /// across runs and thread counts — the replay tests and the incremental
-/// view's full-recompute parity check both depend on it. Three checks:
+/// view's full-recompute parity check both depend on it. Two checks (the
+/// third way to lose reproducibility, a nondeterministic source, is the
+/// `nondet-source` token ban in project_rules.h):
 ///
 ///   * fp-accumulate — floating-point accumulation (`x += ...` or
 ///     `x = x + ...` on a float/double) inside a loop, in src/violation/
@@ -25,14 +27,9 @@
 ///     iteration is nondeterministic across libstdc++ versions and seed
 ///     values; reductions over it must first impose an order. Escape:
 ///     `// ppdb-lint: allow(unordered-iter)`.
-///
-///   * nondet-source — calls to time()/rand()/srand() or any use of
-///     std::random_device outside common/rng.cc, anywhere in src/. All
-///     randomness flows through the seeded SplitMix64 in common/rng.h so
-///     runs are replayable. Escape: `// ppdb-lint: allow(nondet-source)`.
 namespace ppdb::analyzer {
 
-/// Runs all three checks over the loaded tree; returns findings (empty ==
+/// Runs both checks over the loaded tree; returns findings (empty ==
 /// pass). Scoping by path is built in, matching the contract above.
 std::vector<Finding> AnalyzeDeterminism(const std::vector<SourceFile>& files);
 

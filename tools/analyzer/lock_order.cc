@@ -16,38 +16,46 @@ bool IsGuardType(const std::string& text) {
          text == "ReaderMutexLock";
 }
 
-/// Paired header for "src/server/broker.cc" -> "src/server/broker.h".
-std::string PairedHeader(const std::string& rel) {
-  if (rel.size() > 3 && rel.compare(rel.size() - 3, 3, ".cc") == 0) {
-    return rel.substr(0, rel.size() - 3) + ".h";
-  }
-  return rel;
-}
+}  // namespace
 
-/// Finds the index of the token matching the '(' at `open` (which must be
-/// an open paren); returns the index past the matching ')', or `end` when
-/// unbalanced.
-size_t MatchParen(const std::vector<Token>& tokens, size_t open) {
-  int balance = 0;
-  for (size_t i = open; i < tokens.size(); ++i) {
-    if (tokens[i].text == "(") ++balance;
-    if (tokens[i].text == ")") {
-      if (--balance == 0) return i;
-    }
-  }
-  return tokens.size();
-}
-
-/// Collects identifier arguments of a PPDB_* macro starting at its '('.
 std::vector<std::string> MacroArgs(const std::vector<Token>& tokens,
                                    size_t open) {
   std::vector<std::string> args;
-  const size_t close = MatchParen(tokens, open);
+  const size_t close = MatchForward(tokens, open, "(", ")");
   for (size_t i = open + 1; i < close && i < tokens.size(); ++i) {
     if (tokens[i].kind == Token::Kind::kIdent) args.push_back(tokens[i].text);
   }
   return args;
 }
+
+std::vector<size_t> MutexDeclNames(const std::vector<Token>& tokens) {
+  std::vector<size_t> names;
+  for (size_t i = 0; i + 2 < tokens.size(); ++i) {
+    if (tokens[i].kind != Token::Kind::kIdent || !IsMutexType(tokens[i].text)) {
+      continue;
+    }
+    // A member/variable declaration: `Mutex name ...;` where the
+    // preceding token closes a previous declaration or is a qualifier,
+    // and the name is not followed by '(' (that would be a function).
+    if (i > 0) {
+      const std::string& prev = tokens[i - 1].text;
+      const bool decl_context = prev == ";" || prev == "{" || prev == "}" ||
+                                prev == ":" || prev == "mutable" ||
+                                prev == "::" || prev == "public" ||
+                                prev == "private" || prev == "protected";
+      if (!decl_context) continue;
+    }
+    if (tokens[i + 1].kind != Token::Kind::kIdent) continue;
+    const std::string& after = tokens[i + 2].text;
+    if (after == "(" || after == "&" || after == "*" || after == ",") {
+      continue;
+    }
+    names.push_back(i + 1);
+  }
+  return names;
+}
+
+namespace {
 
 struct TreeIndex {
   // rel path -> member name -> level
@@ -103,33 +111,14 @@ TreeIndex BuildIndex(const std::vector<SourceFile>& files,
   TreeIndex index;
   for (const SourceFile& file : files) {
     const std::vector<Token>& tokens = file.tokens;
-    for (size_t i = 0; i + 1 < tokens.size(); ++i) {
-      const Token& type = tokens[i];
-      if (type.kind != Token::Kind::kIdent || !IsMutexType(type.text)) {
-        continue;
-      }
-      // A member/variable declaration: `Mutex name ...;` where the
-      // preceding token closes a previous declaration or is a qualifier,
-      // and the name is not followed by '(' (that would be a function).
-      if (i > 0) {
-        const std::string& prev = tokens[i - 1].text;
-        const bool decl_context = prev == ";" || prev == "{" || prev == "}" ||
-                                  prev == ":" || prev == "mutable" ||
-                                  prev == "::" || prev == "public" ||
-                                  prev == "private" || prev == "protected";
-        if (!decl_context) continue;
-      }
-      const Token& name = tokens[i + 1];
-      if (name.kind != Token::Kind::kIdent) continue;
-      const std::string& after = tokens[i + 2].text;
-      if (after == "(" || after == "&" || after == "*" || after == ",") {
-        continue;
-      }
+    for (const size_t n : MutexDeclNames(tokens)) {
+      const Token& type = tokens[n - 1];
+      const Token& name = tokens[n];
       // Parse the declaration through ';' for the order macros.
       std::string level;
       std::vector<std::string> before, after_levels;
       int level_line = 0;
-      for (size_t j = i + 2; j < tokens.size() && tokens[j].text != ";";
+      for (size_t j = n + 1; j < tokens.size() && tokens[j].text != ";";
            ++j) {
         const std::string& text = tokens[j].text;
         if (text == "PPDB_LOCK_LEVEL" && tokens[j + 1].text == "(") {
@@ -151,7 +140,7 @@ TreeIndex BuildIndex(const std::vector<SourceFile>& files,
       if (level.empty()) {
         if (!HasAllowMarker(file.lines, name.line, "lock-order")) {
           errors->push_back(
-              {file.rel, name.line,
+              {"lock-order", file.rel, name.line,
                "Mutex member '" + name.text +
                    "' has no PPDB_LOCK_LEVEL declaration; give it a place "
                    "in the documented global lock order (DESIGN.md) or "
@@ -162,7 +151,7 @@ TreeIndex BuildIndex(const std::vector<SourceFile>& files,
       }
       if (index.levels.count(level) != 0) {
         errors->push_back(
-            {file.rel, level_line,
+            {"lock-order", file.rel, level_line,
              "lock level '" + level + "' already declared at " +
                  index.levels[level].file + ":" +
                  std::to_string(index.levels[level].line)});
@@ -291,7 +280,7 @@ void ScanAcquisitions(const SourceFile& file, const TreeIndex& index,
     if (IsGuardType(token.text) && i + 2 < tokens.size() &&
         tokens[i + 1].kind == Token::Kind::kIdent &&
         tokens[i + 2].text == "(") {
-      const size_t close = MatchParen(tokens, i + 2);
+      const size_t close = MatchForward(tokens, i + 2, "(", ")");
       std::string arg;
       for (size_t j = i + 3; j < close; ++j) {
         if (tokens[j].kind == Token::Kind::kIdent) arg = tokens[j].text;
@@ -336,7 +325,7 @@ void ScanAcquisitions(const SourceFile& file, const TreeIndex& index,
         tokens[i + 2].kind == Token::Kind::kIdent &&
         tokens[i + 3].text == "(") {
       const std::string& method = tokens[i + 2].text;
-      const size_t close = MatchParen(tokens, i + 3);
+      const size_t close = MatchForward(tokens, i + 3, "(", ")");
       size_t j = close + 1;
       while (j < tokens.size() &&
              (tokens[j].text == "const" || tokens[j].text == "noexcept" ||
@@ -427,7 +416,7 @@ LockOrderResult AnalyzeLockOrder(const std::vector<SourceFile>& files) {
     for (const std::string* level : {&edge.from, &edge.to}) {
       if (index.levels.count(*level) == 0) {
         result.errors.push_back(
-            {edge.file, edge.line,
+            {"lock-order", edge.file, edge.line,
              "PPDB_ACQUIRED_BEFORE/AFTER names unknown lock level '" +
                  *level + "'"});
       }
@@ -447,7 +436,7 @@ LockOrderResult AnalyzeLockOrder(const std::vector<SourceFile>& files) {
       path += level;
     }
     result.errors.push_back(
-        {"", 0,
+        {"lock-order", "", 0,
          "declared lock order contains a cycle (potential deadlock): " +
              path});
     return result;  // closure below would be meaningless
@@ -491,13 +480,13 @@ LockOrderResult AnalyzeLockOrder(const std::vector<SourceFile>& files) {
         edge.via += " [allowed]";
       } else if (reach(edge.to).count(edge.from) != 0) {
         result.errors.push_back(
-            {edge.file, edge.line,
+            {"lock-order", edge.file, edge.line,
              "acquisition of '" + edge.to + "' (via " + edge.via +
                  ") while holding '" + edge.from +
                  "' INVERTS the declared lock order — potential deadlock"});
       } else {
         result.errors.push_back(
-            {edge.file, edge.line,
+            {"lock-order", edge.file, edge.line,
              "acquisition of '" + edge.to + "' (via " + edge.via +
                  ") while holding '" + edge.from +
                  "' is not covered by any PPDB_ACQUIRED_BEFORE/AFTER "
@@ -526,10 +515,6 @@ std::string RenderDot(const LockOrderResult& result) {
   for (const OrderEdge& edge : result.declared_edges) {
     if (!declared.insert({edge.from, edge.to}).second) continue;
     out << "  \"" << edge.from << "\" -> \"" << edge.to << "\";\n";
-  }
-  std::set<std::pair<std::string, std::string>> violating;
-  for (const Finding& finding : result.errors) {
-    (void)finding;  // violations are matched below by absence from closure
   }
   for (const OrderEdge& edge : result.observed_edges) {
     const bool is_declared = declared.count({edge.from, edge.to}) != 0;

@@ -50,6 +50,7 @@ struct OrderEdge {
 };
 
 struct Finding {
+  std::string check;  // rule name, also the `ppdb-lint: allow(...)` marker
   std::string file;
   int line = 0;
   std::string message;
@@ -60,14 +61,22 @@ struct LockOrderResult {
   std::vector<OrderEdge> declared_edges;
   std::vector<OrderEdge> observed_edges;  // deduped by (from, to)
   std::vector<Finding> errors;
-  bool ok() const { return errors.empty(); }
 };
 
 /// Runs the pass over the loaded tree.
 LockOrderResult AnalyzeLockOrder(const std::vector<SourceFile>& files);
 
-/// Renders the order graph (declared chain solid, observed edges dashed,
-/// violations red) in Graphviz DOT format.
+/// Token indices of the declared names in every `Mutex`/`SharedMutex`
+/// variable declaration (`[mutable] Mutex name ...;`, brace initializer and
+/// order macros allowed); the type is the token before each name.
+std::vector<size_t> MutexDeclNames(const std::vector<Token>& tokens);
+
+/// Identifier arguments of a `PPDB_*(...)` macro whose '(' is at `open`.
+std::vector<std::string> MacroArgs(const std::vector<Token>& tokens,
+                                   size_t open);
+
+/// Renders the order graph (declared chain solid, observed edges dashed)
+/// in Graphviz DOT format.
 std::string RenderDot(const LockOrderResult& result);
 
 }  // namespace ppdb::analyzer

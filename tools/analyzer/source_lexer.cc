@@ -12,12 +12,12 @@ std::string BlankCommentsAndStrings(const std::string& source) {
     kCode,
     kLineComment,
     kBlockComment,
-    kString,
-    kChar,
+    kQuoted,  // "..." or '...', closed by `quote`
     kRawString,
   };
   State state = State::kCode;
   std::string raw_delim;  // for R"delim( ... )delim"
+  char quote = '"';
   for (size_t i = 0; i < out.size(); ++i) {
     const char c = out[i];
     const char next = i + 1 < out.size() ? out[i + 1] : '\0';
@@ -48,11 +48,9 @@ std::string BlankCommentsAndStrings(const std::string& source) {
             }
             i = j;
           }
-        } else if (c == '"') {
-          state = State::kString;
-          out[i] = ' ';
-        } else if (c == '\'') {
-          state = State::kChar;
+        } else if (c == '"' || c == '\'') {
+          state = State::kQuoted;
+          quote = c;
           out[i] = ' ';
         }
         break;
@@ -73,28 +71,14 @@ std::string BlankCommentsAndStrings(const std::string& source) {
           out[i] = ' ';
         }
         break;
-      case State::kString:
+      case State::kQuoted:
         if (c == '\\') {
           out[i] = ' ';
           if (next != '\n' && i + 1 < out.size()) {
             out[i + 1] = ' ';
             ++i;
           }
-        } else if (c == '"') {
-          out[i] = ' ';
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          out[i] = ' ';
-          if (next != '\n' && i + 1 < out.size()) {
-            out[i + 1] = ' ';
-            ++i;
-          }
-        } else if (c == '\'') {
+        } else if (c == quote) {
           out[i] = ' ';
           state = State::kCode;
         } else if (c != '\n') {
@@ -189,14 +173,44 @@ std::vector<Token> Tokenize(const std::string& blanked) {
   return tokens;
 }
 
-bool LoadSourceFile(const std::string& path, const std::string& rel,
-                    SourceFile* out) {
+bool StartsWith(const std::string& text, const std::string& prefix) {
+  return text.compare(0, prefix.size(), prefix) == 0;
+}
+
+bool EndsWith(const std::string& text, const std::string& suffix) {
+  return text.size() >= suffix.size() &&
+         text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
+             0;
+}
+
+std::string PairedHeader(const std::string& rel) {
+  return EndsWith(rel, ".cc") ? rel.substr(0, rel.size() - 3) + ".h" : rel;
+}
+
+size_t MatchForward(const std::vector<Token>& tokens, size_t open,
+                    const std::string& open_text,
+                    const std::string& close_text) {
+  int balance = 0;
+  for (size_t i = open; i < tokens.size(); ++i) {
+    if (tokens[i].text == open_text) ++balance;
+    if (tokens[i].text == close_text && --balance == 0) return i;
+  }
+  return tokens.size();
+}
+
+bool ReadFile(const std::string& path, std::string* content) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  out->path = path;
+  *content = buffer.str();
+  return true;
+}
+
+bool LoadSourceFile(const std::string& path, const std::string& rel,
+                    SourceFile* out) {
+  std::string content;
+  if (!ReadFile(path, &content)) return false;
   out->rel = rel;
   out->lines = SplitLines(content);
   out->tokens = Tokenize(BlankCommentsAndStrings(content));
