@@ -279,55 +279,87 @@ DatabaseService::DatabaseService(std::string dir, storage::FileSystem* fs,
       breaker_(WithBreakerMirror(options.breaker)) {
   ServiceMetrics::Get().breaker_state->Set(
       BreakerStateValue(breaker_.state()));
-  LivePopulationMonitor::CheckpointHook hook;
-  hook.every_events = options_.checkpoint_every_events;
-  hook.save = [this](const privacy::PrivacyConfig& config) {
-    return GuardedSave(config);
-  };
-  monitor_.SetCheckpointHook(std::move(hook));
 }
 
-Status DatabaseService::SaveNow(const privacy::PrivacyConfig& config) {
-  database_.config = config;
+Status DatabaseService::SnapshotStageCommit() {
   storage::SaveOptions save_options;
   save_options.retry = options_.save_retry;
-  std::string committed;
-  PPDB_RETURN_NOT_OK(
-      storage::SaveDatabase(dir_, database_, *fs_, save_options, &committed));
-  last_checkpoint_generation_ = committed;
-  if (journal_ != nullptr) {
-    // The commit pruned every journal segment; start the next one. A
-    // rotation failure leaves the journal wedged — the checkpoint itself
-    // still succeeded (all applied events are in `committed`), and the
-    // next event's rescue checkpoint retries the rotation.
-    if (Status rotated = journal_->RotateTo(committed); !rotated.ok()) {
-      PPDB_LOG(kWarning) << "journal rotation to " << committed
-                         << " failed: " << rotated.message();
+
+  // Phase 1, shared lock: copy the config and mark how far the journal is
+  // durable. Appends only run under the exclusive lock, so the journal
+  // cannot move while the copy is taken: the copy holds exactly the
+  // events up to the mark.
+  uint64_t mark = 0;
+  int64_t covered = 0;
+  Result<storage::StagedGeneration> staged = [&] {
+    privacy::PrivacyConfig snapshot;
+    {
+      ReaderMutexLock lock(mu_);
+      snapshot = monitor_.config();
+      if (journal_ != nullptr) mark = journal_->active_segment_bytes();
+      covered = events_since_checkpoint_;
     }
+    // Phase 2, no service lock: write and publish the generation. Events
+    // keep being appended past the mark and acknowledged meanwhile. The
+    // snapshot dies with this scope.
+    return storage::StageGeneration(dir_, database_, snapshot, *fs_,
+                                    save_options);
+  }();
+  PPDB_RETURN_NOT_OK(staged.status());
+
+  // Phase 3, exclusive lock: carry the journal's tail past the mark into
+  // the new generation's segment, swap CURRENT, switch segments.
+  {
+    WriterMutexLock lock(mu_);
+    PPDB_RETURN_NOT_OK(storage::CommitGeneration(
+        dir_, *staged, *fs_, save_options, journal_.get(), mark));
+    last_checkpoint_generation_ = staged->name;
+    ++checkpoints_taken_;
+    events_since_checkpoint_ -= covered;
+    last_checkpoint_status_ = Status::OK();
   }
+  storage::PruneAfterCommit(dir_, *staged, *fs_);
   return Status::OK();
 }
 
-Status DatabaseService::GuardedSave(const privacy::PrivacyConfig& config) {
-  // Held by the event / save / checkpoint path that fired the monitor's
-  // hook (see the declaration comment); the std::function hop hides that
-  // from the thread-safety analysis.
-  mu_.AssertHeld();
-  PPDB_RETURN_NOT_OK(breaker_.Allow());
-  Status status = SaveNow(config);
-  breaker_.Record(status);
+Status DatabaseService::Checkpoint(bool gated) {
+  obs::SpanScope span("checkpoint");
+  Status status = gated ? breaker_.Allow() : Status::OK();
+  if (status.ok()) {
+    status = SnapshotStageCommit();
+    // The shutdown checkpoint is not gated, but its outcome is still fed
+    // back so the breaker's counters tell the truth in post-mortem logs.
+    breaker_.Record(status);
+  }
+  if (!status.ok()) {
+    WriterMutexLock lock(mu_);
+    last_checkpoint_status_ = status;
+  }
   return status;
 }
 
+void DatabaseService::CheckpointIfDue() {
+  // One in flight already: it is not the last chance, since every later
+  // event that finds a checkpoint due tries again.
+  if (!checkpoint_mu_.TryLock()) return;
+  bool due = false;
+  {
+    ReaderMutexLock lock(mu_);
+    due = (journal_ != nullptr && journal_->wedged()) ||
+          (options_.checkpoint_every_events > 0 &&
+           events_since_checkpoint_ >= options_.checkpoint_every_events);
+  }
+  // The outcome lands in last_checkpoint_status_ and the breaker.
+  if (due) (void)Checkpoint(/*gated=*/true);
+  checkpoint_mu_.Unlock();
+}
+
 Status DatabaseService::FinalCheckpoint() {
-  WriterMutexLock lock(mu_);
-  // Deliberately not breaker-gated: this is the last save this process
-  // will ever attempt, so it runs even against a backend the breaker
-  // currently distrusts. A success is still fed back so the breaker's
-  // counters tell the truth in post-mortem logs.
-  Status status = SaveNow(monitor_.config());
-  breaker_.Record(status);
-  return status;
+  MutexLock serial(checkpoint_mu_);
+  // Deliberately not breaker-gated: this is the last checkpoint this
+  // process will ever attempt, so it runs even against a backend the
+  // breaker currently distrusts.
+  return Checkpoint(/*gated=*/false);
 }
 
 Response DatabaseService::Execute(const Request& request,
@@ -416,15 +448,27 @@ Response DatabaseService::ExecuteLocked(const Request& request,
     case RequestKind::kEventSetPref:
     case RequestKind::kEventRemovePref:
     case RequestKind::kEventSetThreshold: {
-      WriterMutexLock lock(mu_);
-      return Event(request);
+      // A wedged journal means an earlier append/fsync failed: nothing can
+      // be acknowledged atop an uncertain tail. Rescue with a checkpoint —
+      // its commit starts a fresh segment and re-arms the journal.
+      if (journal_ != nullptr && journal_->wedged()) CheckpointIfDue();
+      bool checkpoint_due = false;
+      Response response;
+      {
+        WriterMutexLock lock(mu_);
+        response = Event(request, &checkpoint_due);
+      }
+      // The event is durable and applied; the checkpoint it made due runs
+      // with the writer lock released, so other requests keep flowing.
+      if (checkpoint_due) CheckpointIfDue();
+      return response;
     }
     case RequestKind::kSave: {
-      WriterMutexLock lock(mu_);
-      Status status = monitor_.CheckpointNow();
+      MutexLock serial(checkpoint_mu_);
+      Status status = Checkpoint(/*gated=*/true);
       if (!status.ok()) return Err(std::move(status));
-      return Ok("checkpoints_taken=" +
-                std::to_string(monitor_.checkpoints_taken()));
+      ReaderMutexLock lock(mu_);
+      return Ok("checkpoints_taken=" + std::to_string(checkpoints_taken_));
     }
   }
   return Err(Status::Internal("unhandled request kind"));
@@ -477,22 +521,15 @@ Response DatabaseService::Estimate(const Request& request,
             "," + Num(e.ci95.hi) + "]");
 }
 
-Response DatabaseService::Event(const Request& request) {
-  // A wedged journal means an earlier append/fsync failed: nothing can be
-  // acknowledged atop an uncertain tail. Rescue with a checkpoint — a
-  // committed generation captures every applied event, prunes the bad
-  // segment, and rotation re-arms the journal.
+Response DatabaseService::Event(const Request& request,
+                                bool* checkpoint_due) {
+  // Still wedged: the rescue checkpoint failed, or another checkpoint was
+  // in flight and has not committed yet.
   if (journal_ != nullptr && journal_->wedged()) {
-    if (Status allow = breaker_.Allow(); allow.ok()) {
-      Status saved = SaveNow(monitor_.config());
-      breaker_.Record(saved);
-    }
-    if (journal_->wedged()) {
-      return Err(Status::Unavailable(
-          "journal unavailable and rescue checkpoint failed; "
-          "retry_after_ms=" +
-          std::to_string(options_.breaker.open_duration.count())));
-    }
+    return Err(Status::Unavailable(
+        "journal unavailable until a checkpoint commits; "
+        "retry_after_ms=" +
+        std::to_string(options_.breaker.open_duration.count())));
   }
 
   Result<storage::JournalEvent> event = JournalEventFromRequest(request);
@@ -570,8 +607,11 @@ Response DatabaseService::Event(const Request& request) {
                          << drift.value().detail;
     }
   }
-  // The event itself succeeded even if a due checkpoint failed — that
-  // failure lives in last_checkpoint_status and in the breaker.
+  // The counter tracks durability debt (stats) even with the cadence off.
+  ++events_since_checkpoint_;
+  *checkpoint_due = options_.checkpoint_every_events > 0 &&
+                    events_since_checkpoint_ >=
+                        options_.checkpoint_every_events;
   return Ok("providers=" + std::to_string(monitor_.num_providers()) +
             " pw=" + Num(monitor_.ProbabilityOfViolation()) +
             " pdefault=" + Num(monitor_.ProbabilityOfDefault()));
@@ -585,16 +625,16 @@ Response DatabaseService::Query(const Request& request) {
     return Ok("pdefault=" + Num(monitor_.ProbabilityOfDefault()));
   }
   if (request.target == "monitor") {
-    const Status& last = monitor_.last_checkpoint_status();
     return Ok("providers=" + std::to_string(monitor_.num_providers()) +
               " violated=" + std::to_string(monitor_.num_violated()) +
               " defaulted=" + std::to_string(monitor_.num_defaulted()) +
               " total_severity=" + Num(monitor_.TotalViolations()) +
-              " checkpoints=" + std::to_string(monitor_.checkpoints_taken()) +
+              " checkpoints=" + std::to_string(checkpoints_taken_) +
               " events_since_checkpoint=" +
-              std::to_string(monitor_.events_since_checkpoint()) +
+              std::to_string(events_since_checkpoint_) +
               " last_checkpoint=" +
-              std::string(StatusCodeToString(last.code())));
+              std::string(
+                  StatusCodeToString(last_checkpoint_status_.code())));
   }
   if (request.target == "provider") {
     Result<violation::ProviderViolation> violation =
@@ -648,7 +688,6 @@ Response DatabaseService::DriftCheck() {
 }
 
 Response DatabaseService::Stats() {
-  const Status& last = monitor_.last_checkpoint_status();
   // One locked snapshot instead of three separate breaker reads, so state
   // and counters cannot interleave with a trip happening between them.
   const CircuitBreaker::StatsSnapshot breaker = breaker_.Snapshot();
@@ -683,10 +722,10 @@ Response DatabaseService::Stats() {
       " breaker=" + std::string(CircuitBreaker::StateName(breaker.state)) +
       " breaker_trips=" + std::to_string(breaker.trips) +
       " breaker_rejected=" + std::to_string(breaker.rejected) +
-      " checkpoints=" + std::to_string(monitor_.checkpoints_taken()) +
-      " events_since_checkpoint=" +
-      std::to_string(monitor_.events_since_checkpoint()) +
-      " last_checkpoint=" + std::string(StatusCodeToString(last.code())) +
+      " checkpoints=" + std::to_string(checkpoints_taken_) +
+      " events_since_checkpoint=" + std::to_string(events_since_checkpoint_) +
+      " last_checkpoint=" +
+      std::string(StatusCodeToString(last_checkpoint_status_.code())) +
       " last_checkpoint_generation=" +
       (last_checkpoint_generation_.empty() ? "none"
                                            : last_checkpoint_generation_) +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "common/macros.h"
@@ -43,10 +44,12 @@ std::string OptionalToField(const std::optional<std::string>& value) {
   return value.value_or("");
 }
 
-/// Writes the full file set of `database` into `dir` (which must already
-/// contain a `tables/` subdirectory), retrying transient faults.
+/// Writes the full file set of `database`, with `config` as its privacy
+/// config, into `dir` (which must already contain a `tables/`
+/// subdirectory), retrying transient faults.
 Status WriteDatabaseFiles(FileSystem& fsys, const RetryOptions& retry,
-                          const fs::path& dir, const Database& database) {
+                          const fs::path& dir, const Database& database,
+                          const privacy::PrivacyConfig& config) {
   auto write = [&](const fs::path& path, const std::string& contents) {
     return RetryWithBackoff(retry, "write '" + path.string() + "'", [&] {
       return fsys.WriteFile(path.string(), contents);
@@ -71,7 +74,7 @@ Status WriteDatabaseFiles(FileSystem& fsys, const RetryOptions& retry,
   }
   PPDB_RETURN_NOT_OK(write(dir / kManifestName, manifest));
   PPDB_RETURN_NOT_OK(write(dir / "privacy.ppdb",
-                           privacy::SerializePrivacyConfig(database.config)));
+                           privacy::SerializePrivacyConfig(config)));
   PPDB_RETURN_NOT_OK(write(dir / "ledger.csv", LedgerToCsv(database.ledger)));
   PPDB_RETURN_NOT_OK(write(dir / "audit.csv", AuditLogToCsv(database.log)));
   return Status::OK();
@@ -427,11 +430,21 @@ Status SaveDatabase(std::string_view dir, const Database& database) {
   return SaveDatabase(dir, database, GetRealFileSystem());
 }
 
-static Status SaveDatabaseImpl(std::string_view dir, const Database& database,
-                               FileSystem& fsys, const SaveOptions& options,
-                               std::string* committed_generation) {
-  const fs::path root{std::string(dir)};
-  const RetryOptions& retry = options.retry;
+/// Wall time and outcome of one save, staging to commit point.
+static void RecordSave(std::chrono::steady_clock::time_point started,
+                       const Status& status) {
+  const StorageMetrics& metrics = StorageMetrics::Get();
+  metrics.save_seconds->Observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started)
+          .count());
+  (status.ok() ? metrics.save_ok : metrics.save_error)->Add();
+}
+
+static Result<StagedGeneration> StageGenerationImpl(
+    const fs::path& root, const Database& database,
+    const privacy::PrivacyConfig& config, FileSystem& fsys,
+    const RetryOptions& retry) {
   auto retried = [&](const std::string& what,
                      const std::function<Status()>& op) {
     return RetryWithBackoff(retry, what, op);
@@ -458,61 +471,104 @@ static Status SaveDatabaseImpl(std::string_view dir, const Database& database,
   PPDB_RETURN_NOT_OK(retried("create '" + staging.string() + "'", [&] {
     return fsys.CreateDirectories((staging / "tables").string());
   }));
-  PPDB_RETURN_NOT_OK(WriteDatabaseFiles(fsys, retry, staging, database));
+  PPDB_RETURN_NOT_OK(
+      WriteDatabaseFiles(fsys, retry, staging, database, config));
   PPDB_RETURN_NOT_OK(retried("publish '" + gen_dir.string() + "'", [&] {
     return fsys.Rename(staging.string(), gen_dir.string());
   }));
 
+  // Once this commits, keep it and the generation it replaces (rollback
+  // target); everything else scanned here is garbage — older generations,
+  // stray staging dirs, and every journal segment (the commit captures
+  // their events, or carries them into the new generation's segment).
+  StagedGeneration staged;
+  staged.name = GenName(next);
+  for (int64_t g : scan.generations) {
+    if (g != committed) staged.prunable.push_back(GenName(g));
+  }
+  staged.prunable.insert(staged.prunable.end(), scan.stagings.begin(),
+                         scan.stagings.end());
+  staged.prunable.insert(staged.prunable.end(), scan.journals.begin(),
+                         scan.journals.end());
+  return staged;
+}
+
+Result<StagedGeneration> StageGeneration(std::string_view dir,
+                                         const Database& database,
+                                         const privacy::PrivacyConfig& config,
+                                         FileSystem& fsys,
+                                         const SaveOptions& options) {
+  obs::SpanScope span("storage_stage");
+  const auto started = std::chrono::steady_clock::now();
+  Result<StagedGeneration> staged = StageGenerationImpl(
+      fs::path(std::string(dir)), database, config, fsys, options.retry);
+  if (!staged.ok()) {
+    RecordSave(started, staged.status());
+    return staged.status();
+  }
+  staged->started = started;
+  return staged;
+}
+
+static Status CommitGenerationImpl(const fs::path& root,
+                                   const StagedGeneration& staged,
+                                   FileSystem& fsys, const RetryOptions& retry,
+                                   Journal* journal, uint64_t journal_mark) {
+  std::optional<Journal::PreparedSegment> segment;
+  if (journal != nullptr) {
+    PPDB_ASSIGN_OR_RETURN(segment,
+                          journal->PrepareSuccessor(staged.name, journal_mark));
+  }
   // Commit point: swap CURRENT via temp file + rename. Before the rename
   // lands the save never happened; after it the save is complete.
   const fs::path current_tmp = root / kCurrentTmpName;
   const fs::path current = root / kCurrentName;
-  PPDB_RETURN_NOT_OK(retried("stage CURRENT", [&] {
-    return fsys.WriteFile(current_tmp.string(), GenName(next) + "\n");
-  }));
-  PPDB_RETURN_NOT_OK(retried("commit CURRENT", [&] {
-    return fsys.Rename(current_tmp.string(), current.string());
-  }));
-  if (committed_generation != nullptr) *committed_generation = GenName(next);
+  Status swapped = RetryWithBackoff(retry, "stage CURRENT", [&] {
+    return fsys.WriteFile(current_tmp.string(), staged.name + "\n");
+  });
+  if (swapped.ok()) {
+    swapped = RetryWithBackoff(retry, "commit CURRENT", [&] {
+      return fsys.Rename(current_tmp.string(), current.string());
+    });
+  }
+  if (segment.has_value()) {
+    if (swapped.ok()) {
+      journal->Activate(std::move(*segment));
+    } else {
+      journal->Discard(std::move(*segment));
+    }
+  }
+  return swapped;
+}
 
-  // Best-effort prune: keep the new generation and the one it replaced
-  // (rollback target); everything else — older generations, stray staging
-  // dirs, and every journal segment (this commit captured all applied
-  // events, so surviving segments are stale and would be discarded on
-  // load anyway) — is garbage. Prune failures never fail a committed
-  // save.
-  for (int64_t g : scan.generations) {
-    if (g == next || g == committed) continue;
-    (void)fsys.RemoveAll((root / GenName(g)).string());
+Status CommitGeneration(std::string_view dir, const StagedGeneration& staged,
+                        FileSystem& fsys, const SaveOptions& options,
+                        Journal* journal, uint64_t journal_mark) {
+  obs::SpanScope span("storage_commit");
+  Status status =
+      CommitGenerationImpl(fs::path(std::string(dir)), staged, fsys,
+                           options.retry, journal, journal_mark);
+  RecordSave(staged.started, status);
+  return status;
+}
+
+void PruneAfterCommit(std::string_view dir, const StagedGeneration& staged,
+                      FileSystem& fsys) {
+  const fs::path root{std::string(dir)};
+  for (const std::string& name : staged.prunable) {
+    (void)fsys.RemoveAll((root / name).string());
   }
-  for (const std::string& stale : scan.stagings) {
-    (void)fsys.RemoveAll((root / stale).string());
-  }
-  for (const std::string& journal : scan.journals) {
-    (void)fsys.RemoveAll((root / journal).string());
-  }
-  return Status::OK();
 }
 
 Status SaveDatabase(std::string_view dir, const Database& database,
                     FileSystem& fsys, const SaveOptions& options) {
-  return SaveDatabase(dir, database, fsys, options, nullptr);
-}
-
-Status SaveDatabase(std::string_view dir, const Database& database,
-                    FileSystem& fsys, const SaveOptions& options,
-                    std::string* committed_generation) {
-  const StorageMetrics& metrics = StorageMetrics::Get();
   obs::SpanScope span("storage_save");
-  const auto started = std::chrono::steady_clock::now();
-  Status status =
-      SaveDatabaseImpl(dir, database, fsys, options, committed_generation);
-  metrics.save_seconds->Observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count());
-  (status.ok() ? metrics.save_ok : metrics.save_error)->Add();
-  return status;
+  PPDB_ASSIGN_OR_RETURN(
+      StagedGeneration staged,
+      StageGeneration(dir, database, database.config, fsys, options));
+  PPDB_RETURN_NOT_OK(CommitGeneration(dir, staged, fsys, options));
+  PruneAfterCommit(dir, staged, fsys);
+  return Status::OK();
 }
 
 Result<Database> LoadDatabase(std::string_view dir) {

@@ -1,6 +1,7 @@
 #ifndef PPDB_STORAGE_DATABASE_IO_H_
 #define PPDB_STORAGE_DATABASE_IO_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -40,21 +41,33 @@ struct Database {
 ///                               (see storage/journal.h; "journal-flat"
 ///                               for the pre-generation layout)
 ///
-/// Commit protocol (crash-safe at every step):
-///   1. every file is written into a fresh `.staging-<N>/`,
-///   2. the staging dir is renamed to `gen-<N>/`,
-///   3. `CURRENT` is swapped via temp-file + rename — the commit point.
-/// The previous generation is retained for rollback; older ones and stray
-/// staging dirs are pruned best-effort after commit. A crash anywhere
-/// leaves either the old or the new generation committed, never a hybrid;
-/// `LoadDatabase` discards torn leftovers (see `RecoveryReport`).
+/// Commit protocol (crash-safe at every step), in two calls so a caller
+/// can keep serving while the slow half runs:
+///   stage  (`StageGeneration`, no lock needed)
+///     1. every file is written into a fresh `.staging-<N>/`,
+///     2. the staging dir is renamed to `gen-<N>/`;
+///   commit (`CommitGeneration`, a few small writes)
+///     3. with a journal, `journal-gen-<N>` is prepared: its header plus
+///        the frames the journal made durable after the snapshot was
+///        taken, fsync'd (see storage/journal.h),
+///     4. `CURRENT` is swapped via temp-file + rename — the commit point;
+///        with a journal, the prepared segment then becomes the active one
+///        (on a failed swap it is deleted and the old one stays active).
+/// `PruneAfterCommit` then deletes, best-effort, older generations, stray
+/// staging dirs and the journal segments that existed when staging began;
+/// the previous generation is retained for rollback. A crash anywhere
+/// leaves either the old generation with its own segment or the new one
+/// with its own segment committed, never a hybrid; `LoadDatabase`
+/// discards torn leftovers (see `RecoveryReport`). `SaveDatabase` is the
+/// three in a row.
 ///
 /// Pre-generation directories (MANIFEST at the top level) still load.
 ///
 /// Thread safety: the free functions here are thread-compatible — they
 /// mutate only the directory passed in and keep no shared mutable state
 /// (metric instruments are sharded/atomic). Callers serialize saves per
-/// database directory; `DatabaseService` does so under its writer lock.
+/// database directory; `DatabaseService` does so with its checkpoint
+/// mutex, and keeps journal appends out of step 3–4 with its writer lock.
 struct SaveOptions {
   /// Bounded retry for transient (`kUnavailable`) filesystem faults on the
   /// staging writes and commit renames. `max_attempts = 1` disables.
@@ -91,21 +104,55 @@ struct RecoveryReport {
   std::string ToString() const;
 };
 
+class Journal;
+
+/// A generation written and published as `gen-<N>/` but not committed:
+/// what `StageGeneration` hands to `CommitGeneration`. Until the commit a
+/// load ignores it ("complete but never committed").
+struct StagedGeneration {
+  /// e.g. "gen-4".
+  std::string name;
+  /// Entries to delete once it is committed: generations older than the
+  /// one it replaces, stray staging dirs, and every journal segment that
+  /// existed when staging began.
+  std::vector<std::string> prunable;
+  /// When staging began; the save's wall time is measured from here.
+  std::chrono::steady_clock::time_point started;
+};
+
+/// Steps 1–2 of the commit protocol: writes `database` with `config` in
+/// place of `database.config` (so a caller can save a config snapshot
+/// without copying the rest) and publishes it as the next generation.
+Result<StagedGeneration> StageGeneration(std::string_view dir,
+                                         const Database& database,
+                                         const privacy::PrivacyConfig& config,
+                                         FileSystem& fs,
+                                         const SaveOptions& options);
+
+/// Steps 3–4: commits `staged`. With a `journal`, first prepares the new
+/// generation's segment from the journal's frames past `journal_mark`
+/// (the journal's `active_segment_bytes()` when the staged config was
+/// snapshotted), and activates it once `CURRENT` names the generation.
+/// The caller must keep journal appends out for the duration.
+Status CommitGeneration(std::string_view dir, const StagedGeneration& staged,
+                        FileSystem& fs, const SaveOptions& options,
+                        Journal* journal = nullptr,
+                        uint64_t journal_mark = 0);
+
+/// Deletes `staged.prunable`, best-effort: a prune failure never fails a
+/// committed save.
+void PruneAfterCommit(std::string_view dir, const StagedGeneration& staged,
+                      FileSystem& fs);
+
 /// Atomically saves `database` (commit protocol above) via the process-wide
 /// real filesystem.
 Status SaveDatabase(std::string_view dir, const Database& database);
 
 /// As above through an explicit filesystem (tests inject faults here).
+/// It is given no journal, so it prunes every `journal-*` segment: their
+/// events are taken to be inside `database`.
 Status SaveDatabase(std::string_view dir, const Database& database,
                     FileSystem& fs, const SaveOptions& options = {});
-
-/// As above; on success `committed_generation` (when non-null) receives
-/// the generation name just committed, e.g. "gen-4" — the base the
-/// service rotates its journal segment to. A successful save prunes all
-/// `journal-*` segments (their events are inside the new generation).
-Status SaveDatabase(std::string_view dir, const Database& database,
-                    FileSystem& fs, const SaveOptions& options,
-                    std::string* committed_generation);
 
 /// Loads the committed generation of a database directory. Schema types
 /// are recorded in the manifest, so round-trips preserve typing exactly.

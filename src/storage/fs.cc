@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/macros.h"
 #include "obs/metrics.h"
@@ -229,79 +230,95 @@ std::string_view FaultKindName(FaultKind kind) {
 }
 
 FaultInjectingFileSystem::FaultInjectingFileSystem(FileSystem* base, Rng rng)
-    : base_(base), rng_(rng) {
+    : base_(base), rng_(std::move(rng)) {
   PPDB_CHECK(base != nullptr);
 }
 
 void FaultInjectingFileSystem::SetPlan(FaultPlan plan) {
-  plan_ = plan;
+  MutexLock lock(mu_);
+  plan_ = std::move(plan);
   ops_seen_ = 0;
   faults_injected_ = 0;
-  remaining_transient_failures_ = plan.transient_failures;
   crashed_ = false;
+}
+
+int64_t FaultInjectingFileSystem::ops_seen() const {
+  MutexLock lock(mu_);
+  return ops_seen_;
+}
+
+int64_t FaultInjectingFileSystem::faults_injected() const {
+  MutexLock lock(mu_);
+  return faults_injected_;
+}
+
+bool FaultInjectingFileSystem::crashed() const {
+  MutexLock lock(mu_);
+  return crashed_;
 }
 
 Status FaultInjectingFileSystem::NextOp(
     const std::string& path, bool is_write, std::string_view contents,
     const std::function<Status(std::string_view)>* partial_write) {
-  if (crashed_) {
-    // Process death is global: even ops outside the path filter fail.
-    return Status::Internal("filesystem crashed at op " +
-                            std::to_string(plan_.fail_at_op) + "; op on '" +
-                            path + "' never ran");
-  }
-  if (!plan_.path_filter.empty() &&
-      path.find(plan_.path_filter) == std::string::npos) {
-    return Status::OK();  // outside the filter: uncounted pass-through
-  }
-  const int64_t op = ops_seen_++;
-  if (plan_.fail_at_op < 0 || op < plan_.fail_at_op) return Status::OK();
-
-  switch (plan_.kind) {
-    case FaultKind::kFailOp:
-      // Fails `transient_failures` consecutive ops starting at the target,
-      // so a retry loop either outlasts the fault or gives up cleanly.
-      if (op >= plan_.fail_at_op + plan_.transient_failures) {
-        return Status::OK();
-      }
-      ++faults_injected_;
-      CountInjectedFault(plan_.kind);
-      return Status::Unavailable("injected transient fault at op " +
-                                 std::to_string(op) + " on '" + path + "'");
-    case FaultKind::kTornWrite:
-    case FaultKind::kNoSpace:
-    case FaultKind::kCrash: {
-      if (op > plan_.fail_at_op) {
-        // Only kCrash (latched above) outlives its target op.
-        return Status::OK();
-      }
-      ++faults_injected_;
-      CountInjectedFault(plan_.kind);
-      if (is_write && !contents.empty()) {
-        // A strict prefix lands durably; the seeded Rng picks how much.
-        size_t torn = static_cast<size_t>(
-            rng_.NextBounded(static_cast<uint64_t>(contents.size())));
-        Status partial =
-            partial_write != nullptr
-                ? (*partial_write)(contents.substr(0, torn))
-                : base_->WriteFile(path, contents.substr(0, torn));
-        if (!partial.ok()) return partial;
-      }
-      if (plan_.kind == FaultKind::kCrash) {
-        crashed_ = true;
-        return Status::Internal("injected crash at op " + std::to_string(op) +
-                                " on '" + path + "'");
-      }
-      if (plan_.kind == FaultKind::kNoSpace) {
-        return Status::OutOfRange("injected ENOSPC at op " +
-                                  std::to_string(op) + " on '" + path +
-                                  "': no space left on device");
-      }
-      return Status::Unavailable("injected torn write at op " +
-                                 std::to_string(op) + " on '" + path + "'");
+  // Decide under the lock (op index, torn length, crash latch); do the
+  // I/O and the metric bump after releasing it.
+  int64_t op = 0;
+  FaultKind kind = FaultKind::kFailOp;
+  size_t torn = 0;
+  {
+    MutexLock lock(mu_);
+    if (crashed_) {
+      // Process death is global: even ops outside the path filter fail.
+      return Status::Internal("filesystem crashed at op " +
+                              std::to_string(plan_.fail_at_op) + "; op on '" +
+                              path + "' never ran");
     }
+    if (!plan_.path_filter.empty() &&
+        path.find(plan_.path_filter) == std::string::npos) {
+      return Status::OK();  // outside the filter: uncounted pass-through
+    }
+    op = ops_seen_++;
+    if (plan_.fail_at_op < 0 || op < plan_.fail_at_op) return Status::OK();
+    kind = plan_.kind;
+    // kFailOp fails `transient_failures` consecutive ops starting at the
+    // target, so a retry loop either outlasts the fault or gives up
+    // cleanly; the other kinds hit only their target op (a latched kCrash
+    // fails everything later above).
+    const int64_t last_faulted =
+        kind == FaultKind::kFailOp
+            ? plan_.fail_at_op + plan_.transient_failures - 1
+            : plan_.fail_at_op;
+    if (op > last_faulted) return Status::OK();
+    ++faults_injected_;
+    if (kind != FaultKind::kFailOp && is_write && !contents.empty()) {
+      // A strict prefix lands durably; the seeded Rng picks how much.
+      torn = static_cast<size_t>(
+          rng_.NextBounded(static_cast<uint64_t>(contents.size())));
+    }
+    if (kind == FaultKind::kCrash) crashed_ = true;
   }
-  return Status::Internal("unreachable fault kind");
+  CountInjectedFault(kind);
+
+  if (kind == FaultKind::kFailOp) {
+    return Status::Unavailable("injected transient fault at op " +
+                               std::to_string(op) + " on '" + path + "'");
+  }
+  if (is_write && !contents.empty()) {
+    Status partial = partial_write != nullptr
+                         ? (*partial_write)(contents.substr(0, torn))
+                         : base_->WriteFile(path, contents.substr(0, torn));
+    if (!partial.ok()) return partial;
+  }
+  if (kind == FaultKind::kCrash) {
+    return Status::Internal("injected crash at op " + std::to_string(op) +
+                            " on '" + path + "'");
+  }
+  if (kind == FaultKind::kNoSpace) {
+    return Status::OutOfRange("injected ENOSPC at op " + std::to_string(op) +
+                              " on '" + path + "': no space left on device");
+  }
+  return Status::Unavailable("injected torn write at op " +
+                             std::to_string(op) + " on '" + path + "'");
 }
 
 Status FaultInjectingFileSystem::CreateDirectories(const std::string& path) {

@@ -8,8 +8,10 @@
 #include <string_view>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/thread_annotations.h"
 
 namespace ppdb::storage {
 
@@ -155,6 +157,13 @@ struct FaultPlan {
 /// prefix lengths are drawn from the seeded `Rng`, so a (plan, seed) pair
 /// reproduces a crash byte-for-byte.
 ///
+/// Thread-safe: the op counter, `Rng`, plan and crash latch sit behind one
+/// leaf mutex, so a checkpoint's staging writes may overlap journal
+/// appends on other threads. Each op draws its index atomically; which
+/// thread gets which index is up to the scheduler, so a plan is
+/// reproducible only when the ops it counts come in a fixed order (one
+/// thread, or a `path_filter` that one thread's ops alone match).
+///
 ///   FaultInjectingFileSystem faulty(&real, Rng(seed));
 ///   faulty.SetPlan({.fail_at_op = 7, .kind = FaultKind::kCrash});
 ///   Status s = SaveDatabase(dir, db, faulty, opts);  // dies at op 7
@@ -164,14 +173,14 @@ class FaultInjectingFileSystem : public FileSystem {
   FaultInjectingFileSystem(FileSystem* base, Rng rng);
 
   /// Installs a plan and resets the op counter and crash latch.
-  void SetPlan(FaultPlan plan);
+  void SetPlan(FaultPlan plan) PPDB_EXCLUDES(mu_);
 
   /// Mutating operations seen since the last `SetPlan`.
-  int64_t ops_seen() const { return ops_seen_; }
+  int64_t ops_seen() const PPDB_EXCLUDES(mu_);
   /// Faults actually injected since the last `SetPlan`.
-  int64_t faults_injected() const { return faults_injected_; }
+  int64_t faults_injected() const PPDB_EXCLUDES(mu_);
   /// True once a `kCrash` fault has fired; all later mutations fail.
-  bool crashed() const { return crashed_; }
+  bool crashed() const PPDB_EXCLUDES(mu_);
 
   Status CreateDirectories(const std::string& path) override;
   Status WriteFile(const std::string& path,
@@ -202,15 +211,18 @@ class FaultInjectingFileSystem : public FileSystem {
   Status NextOp(const std::string& path, bool is_write = false,
                 std::string_view contents = {},
                 const std::function<Status(std::string_view)>*
-                    partial_write = nullptr);
+                    partial_write = nullptr) PPDB_EXCLUDES(mu_);
 
-  FileSystem* base_;
-  Rng rng_;
-  FaultPlan plan_;
-  int64_t ops_seen_ = 0;
-  int64_t faults_injected_ = 0;
-  int remaining_transient_failures_ = 0;
-  bool crashed_ = false;
+  FileSystem* const base_;
+  /// A leaf: nothing is acquired while it is held (the injected-fault
+  /// counter is bumped after it is released).
+  mutable Mutex mu_{"fault_fs"} PPDB_LOCK_LEVEL(fault_fs)
+      PPDB_ACQUIRED_AFTER(metrics);
+  Rng rng_ PPDB_GUARDED_BY(mu_);
+  FaultPlan plan_ PPDB_GUARDED_BY(mu_);
+  int64_t ops_seen_ PPDB_GUARDED_BY(mu_) = 0;
+  int64_t faults_injected_ PPDB_GUARDED_BY(mu_) = 0;
+  bool crashed_ PPDB_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace ppdb::storage

@@ -120,22 +120,23 @@ Result<std::unique_ptr<Journal>> Journal::Open(std::string dir,
   std::unique_ptr<Journal> journal(
       new Journal(std::move(dir), fs, options));  // ppdb-lint: allow(raw-new)
   MutexLock lock(journal->mu_);
-  PPDB_RETURN_NOT_OK(journal->OpenSegmentLocked(base_generation,
-                                                /*resume=*/true));
+  PPDB_RETURN_NOT_OK(journal->OpenSegmentLocked(base_generation));
   return journal;
 }
 
-Status Journal::OpenSegmentLocked(const std::string& base_generation,
-                                  bool resume) {
+std::string Journal::PathFor(std::string_view generation) const {
+  return (std::filesystem::path(dir_) / SegmentNameFor(generation)).string();
+}
+
+Status Journal::OpenSegmentLocked(const std::string& base_generation) {
   const JournalMetrics& metrics = JournalMetrics::Get();
   segment_name_ = SegmentNameFor(base_generation);
-  segment_path_ =
-      (std::filesystem::path(dir_) / segment_name_).string();
+  segment_path_ = PathFor(base_generation);
   const std::string header = HeaderFor(base_generation);
 
   durable_bytes_ = 0;
   durable_records_ = 0;
-  if (resume && fs_.Exists(segment_path_)) {
+  if (fs_.Exists(segment_path_)) {
     Result<std::string> contents = fs_.ReadFile(segment_path_);
     if (contents.ok()) {
       Result<JournalScan> scan = ScanJournalSegment(*contents);
@@ -152,8 +153,8 @@ Status Journal::OpenSegmentLocked(const std::string& base_generation,
     }
   }
   if (durable_bytes_ == 0 && fs_.Exists(segment_path_)) {
-    // Not a resumable segment (wrong header, wrong base, unreadable, or a
-    // rotation target): start it over.
+    // Not a resumable segment (wrong header, wrong base, unreadable):
+    // start it over.
     PPDB_RETURN_NOT_OK(fs_.RemoveAll(segment_path_));
   }
 
@@ -253,31 +254,83 @@ Status Journal::Append(std::string_view payload) {
   return out;
 }
 
-Status Journal::RotateTo(std::string_view generation) {
+Result<Journal::PreparedSegment> Journal::PrepareSuccessor(
+    std::string_view generation, uint64_t mark) {
+  std::string active_path;
+  uint64_t durable_bytes = 0;
+  {
+    MutexLock lock(mu_);
+    // The caller keeps appends out, so no flush should be running; wait
+    // rather than read a segment mid-write if one is.
+    cv_.Wait(mu_, [this] { return !flush_in_progress_; });
+    active_path = segment_path_;
+    durable_bytes = durable_bytes_;
+  }
+  if (mark > durable_bytes) {
+    return Status::FailedPrecondition(
+        "journal mark " + std::to_string(mark) + " is past the " +
+        std::to_string(durable_bytes) + " durable bytes of '" + active_path +
+        "'");
+  }
+  // Only the durable prefix is carried: bytes past it belong to a failed
+  // batch whose repair truncation may not have landed.
+  PPDB_ASSIGN_OR_RETURN(std::string active, fs_.ReadFile(active_path));
+  if (active.size() < durable_bytes) {
+    return Status::Internal("'" + active_path + "' holds " +
+                            std::to_string(active.size()) +
+                            " bytes, fewer than its " +
+                            std::to_string(durable_bytes) + " durable ones");
+  }
+  const std::string contents =
+      HeaderFor(generation) + active.substr(mark, durable_bytes - mark);
+  PPDB_ASSIGN_OR_RETURN(JournalScan scan, ScanJournalSegment(contents));
+  if (scan.torn_tail) {
+    return Status::Internal("carried journal tail of '" + active_path +
+                            "' is not whole frames: " + scan.torn_detail);
+  }
+
+  PreparedSegment segment;
+  segment.generation = std::string(generation);
+  segment.bytes = contents.size();
+  segment.records = static_cast<int64_t>(scan.payloads.size());
+  const std::string path = PathFor(generation);
+  // Left behind by an earlier attempt at this generation that crashed
+  // before it could discard it.
+  if (fs_.Exists(path)) PPDB_RETURN_NOT_OK(fs_.RemoveAll(path));
+  PPDB_ASSIGN_OR_RETURN(segment.file, fs_.OpenAppendable(path));
+  Status written = segment.file->Append(contents);
+  if (written.ok()) written = segment.file->Sync();
+  if (!written.ok()) {
+    Discard(std::move(segment));
+    return written;
+  }
+  return segment;
+}
+
+void Journal::Activate(PreparedSegment segment) {
   const JournalMetrics& metrics = JournalMetrics::Get();
   MutexLock lock(mu_);
   cv_.Wait(mu_, [this] { return !flush_in_progress_; });
-  // Frames still pending were never flushed; their appenders have already
-  // been failed (rotation only happens after a checkpoint, which runs
-  // under the same writer lock as appends — or after a wedge).
+  // Nothing is pending: the caller keeps appends out, and a failed batch
+  // clears what it held.
   pending_.clear();
   pending_records_ = 0;
-  if (file_ != nullptr) {
-    (void)file_->Close();
-    file_.reset();
-  }
-  Status opened = OpenSegmentLocked(std::string(generation),
-                                    /*resume=*/false);
-  if (!opened.ok()) {
-    wedged_ = true;
-    wedge_status_ = opened;
-    return opened;
-  }
+  if (file_ != nullptr) (void)file_->Close();
+  file_ = std::move(segment.file);
+  segment_name_ = SegmentNameFor(segment.generation);
+  segment_path_ = PathFor(segment.generation);
+  durable_bytes_ = segment.bytes;
+  durable_records_ = segment.records;
   wedged_ = false;
   wedge_status_ = Status::OK();
   durable_lsn_ = next_lsn_;
   metrics.rotations->Add();
-  return Status::OK();
+  metrics.active_segment_bytes->Set(static_cast<double>(durable_bytes_));
+}
+
+void Journal::Discard(PreparedSegment segment) {
+  if (segment.file != nullptr) (void)segment.file->Close();
+  (void)fs_.RemoveAll(PathFor(segment.generation));
 }
 
 bool Journal::wedged() const {

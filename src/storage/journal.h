@@ -37,14 +37,21 @@ namespace ppdb::storage {
 /// frame is ever looked at — a record that was never fsync-acknowledged
 /// was never acknowledged to a client either.
 ///
-/// Lifecycle: a successful checkpoint commits every applied event into a
-/// new generation, prunes all `journal-*` segments (`SaveDatabase` does
-/// this best-effort after its commit point), and the service then calls
-/// `RotateTo(new generation)` to start a fresh segment. Between a failed
-/// append/fsync and the next successful checkpoint the journal is
-/// *wedged*: appends fail with the original error so no event can be
-/// acknowledged without durability, and a best-effort truncate amputates
-/// whatever the failed batch may have partially written.
+/// Lifecycle: a checkpoint snapshots the config and notes the active
+/// segment's durable size as its *mark*, writes the new generation while
+/// events keep appending here, and then — under the service's writer lock,
+/// so no append is in flight — carries the tail over: `PrepareSuccessor`
+/// writes `journal-<new generation>` holding the header plus every frame
+/// past the mark (the events acknowledged while the generation was being
+/// written) and fsyncs it, `CURRENT` is swapped, and `Activate` makes the
+/// prepared segment the active one. The old segment is pruned after that.
+/// A generation and its own segment are therefore always the whole state:
+/// before the swap the old pair is, after it the new pair is. If the swap
+/// fails the prepared segment is `Discard`ed and appends continue here.
+/// Between a failed append/fsync and the next committed checkpoint the
+/// journal is *wedged*: appends fail with the original error so no event
+/// can be acknowledged without durability, and a best-effort truncate
+/// amputates whatever the failed batch may have partially written.
 ///
 /// Group commit: concurrent appenders under the broker's writer lanes
 /// share one fsync. The first appender to find no flush in progress
@@ -86,12 +93,33 @@ class Journal {
   /// wedges and the caller must not apply or acknowledge the event.
   Status Append(std::string_view payload) PPDB_EXCLUDES(mu_);
 
-  /// Starts a fresh segment for `generation` after a successful
-  /// checkpoint, clearing any wedge. On failure the journal stays (or
-  /// becomes) wedged.
-  Status RotateTo(std::string_view generation) PPDB_EXCLUDES(mu_);
+  /// A successor segment written and fsync'd by `PrepareSuccessor` but not
+  /// yet appended to. Owning it keeps the file open; pass it to `Activate`
+  /// or `Discard`.
+  struct PreparedSegment {
+    std::string generation;
+    std::unique_ptr<AppendableFile> file;
+    uint64_t bytes = 0;
+    int64_t records = 0;
+  };
 
-  /// True after an append/fsync failure until a successful `RotateTo`.
+  /// Writes `journal-<generation>`: the header plus the active segment's
+  /// durable frames from byte `mark` on, then fsyncs it. `mark` is
+  /// `active_segment_bytes()` as read when the checkpoint's snapshot was
+  /// taken. The active segment is untouched. The caller must keep appends
+  /// out until `Activate`/`Discard` (the service holds its writer lock).
+  Result<PreparedSegment> PrepareSuccessor(std::string_view generation,
+                                           uint64_t mark) PPDB_EXCLUDES(mu_);
+
+  /// Makes `segment` the active segment once its generation is committed,
+  /// clearing any wedge. The old segment's file is closed, not removed.
+  void Activate(PreparedSegment segment) PPDB_EXCLUDES(mu_);
+
+  /// Closes and deletes (best-effort) a segment whose generation did not
+  /// commit; appends continue on the active segment.
+  void Discard(PreparedSegment segment);
+
+  /// True after an append/fsync failure until a successor is activated.
   bool wedged() const PPDB_EXCLUDES(mu_);
 
   /// Name of the active segment, e.g. "journal-gen-3".
@@ -106,11 +134,13 @@ class Journal {
  private:
   Journal(std::string dir, FileSystem& fs, Options options);
 
-  /// Opens the segment for `base_generation`: `resume` keeps an existing
-  /// segment's valid records (truncating a torn tail), otherwise the
-  /// segment starts over (rotation).
-  Status OpenSegmentLocked(const std::string& base_generation, bool resume)
+  /// Opens the segment for `base_generation`, keeping an existing
+  /// segment's valid records (truncating a torn tail); a segment that is
+  /// not resumable starts over.
+  Status OpenSegmentLocked(const std::string& base_generation)
       PPDB_REQUIRES(mu_);
+
+  std::string PathFor(std::string_view generation) const;
 
   const std::string dir_;
   FileSystem& fs_;

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadlock.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "privacy/policy_dsl.h"
@@ -18,6 +19,7 @@
 #include "sim/population.h"
 #include "storage/database_io.h"
 #include "storage/fs.h"
+#include "tests/gated_fs.h"
 #include "tests/test_util.h"
 #include "violation/metrics.h"
 
@@ -38,6 +40,16 @@ attr_sensitivity weight = 2
 threshold 1 = 3
 threshold 2 = 3
 )";
+
+/// The value of `key=` in a space-separated response payload ("" when
+/// absent).
+std::string Field(const std::string& payload, const std::string& key) {
+  const std::string padded = " " + payload;
+  const size_t at = padded.find(" " + key + "=");
+  if (at == std::string::npos) return "";
+  const size_t begin = at + key.size() + 2;
+  return padded.substr(begin, padded.find(' ', begin) - begin);
+}
 
 class DatabaseServiceTest : public ::testing::Test {
  protected:
@@ -63,9 +75,10 @@ class DatabaseServiceTest : public ::testing::Test {
   /// latched disk would fail the events themselves (by design — see the
   /// Journal* tests) instead of leaving durability debt.
   std::unique_ptr<DatabaseService> MakeService(int failure_threshold = 2,
-                                               bool journal_enabled = false) {
+                                               bool journal_enabled = false,
+                                               int64_t checkpoint_every = 1) {
     DatabaseService::Options options;
-    options.checkpoint_every_events = 1;
+    options.checkpoint_every_events = checkpoint_every;
     options.num_threads = 1;
     options.save_retry.max_attempts = 1;
     options.breaker.failure_threshold = failure_threshold;
@@ -245,6 +258,129 @@ TEST_F(DatabaseServiceTest, CheckpointFailureNeverFailsTheEvent) {
   EXPECT_EQ(service->breaker().consecutive_failures(), 10);
 }
 
+// --- checkpoint policy (the service owns cadence and counters) ------------
+
+TEST_F(DatabaseServiceTest, CheckpointFiresAtCadenceAndPersistsConfig) {
+  std::unique_ptr<DatabaseService> service = MakeService(
+      /*failure_threshold=*/2, /*journal_enabled=*/false,
+      /*checkpoint_every=*/2);
+
+  ASSERT_OK(Run(*service, "event add 50 5").status);  // event 1: not yet
+  Response monitor = Run(*service, "query monitor");
+  EXPECT_EQ(Field(monitor.payload, "checkpoints"), "0") << monitor.payload;
+  EXPECT_EQ(Field(monitor.payload, "events_since_checkpoint"), "1");
+
+  ASSERT_OK(Run(*service, "event threshold 50 9").status);  // event 2: fires
+  monitor = Run(*service, "query monitor");
+  EXPECT_EQ(Field(monitor.payload, "checkpoints"), "1") << monitor.payload;
+  EXPECT_EQ(Field(monitor.payload, "events_since_checkpoint"), "0");
+  EXPECT_EQ(Field(monitor.payload, "last_checkpoint"), "ok");
+
+  // The checkpoint is a loadable database holding the live config.
+  ASSERT_OK_AND_ASSIGN(storage::Database loaded,
+                       storage::LoadDatabase(dir_.string()));
+  EXPECT_DOUBLE_EQ(loaded.config.ThresholdFor(50), 9.0);
+  EXPECT_EQ(loaded.config.preferences.num_providers(), 3);
+}
+
+TEST_F(DatabaseServiceTest, FailedCheckpointIsReportedAndRetried) {
+  std::unique_ptr<DatabaseService> service = MakeService(
+      /*failure_threshold=*/100);
+  // One transient failure defeats the save (no in-save retry here), after
+  // which the disk "heals".
+  faulty_->SetPlan({.fail_at_op = 0, .kind = storage::FaultKind::kFailOp,
+                    .transient_failures = 1});
+
+  // The event itself succeeds even though its checkpoint failed.
+  ASSERT_OK(Run(*service, "event add 60 2").status);
+  Response monitor = Run(*service, "query monitor");
+  EXPECT_EQ(Field(monitor.payload, "last_checkpoint"), "unavailable")
+      << monitor.payload;
+  EXPECT_EQ(Field(monitor.payload, "checkpoints"), "0");
+  EXPECT_EQ(Field(monitor.payload, "events_since_checkpoint"), "1");
+
+  // The next event retries the checkpoint and succeeds.
+  ASSERT_OK(Run(*service, "event threshold 60 4").status);
+  monitor = Run(*service, "query monitor");
+  EXPECT_EQ(Field(monitor.payload, "last_checkpoint"), "ok")
+      << monitor.payload;
+  EXPECT_EQ(Field(monitor.payload, "checkpoints"), "1");
+  EXPECT_EQ(Field(monitor.payload, "events_since_checkpoint"), "0");
+  ASSERT_OK_AND_ASSIGN(storage::Database loaded,
+                       storage::LoadDatabase(dir_.string()));
+  EXPECT_DOUBLE_EQ(loaded.config.ThresholdFor(60), 4.0);
+}
+
+TEST_F(DatabaseServiceTest, OpenBreakerGatesCheckpointsOffTheDisk) {
+  std::unique_ptr<DatabaseService> service = MakeService(
+      /*failure_threshold=*/3);
+  BreakDisk();
+
+  // Three failing checkpoints trip the breaker; every event still lands.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK(Run(*service, "event add " + std::to_string(80 + i) + " 1")
+                  .status)
+        << i;
+    EXPECT_EQ(Field(Run(*service, "query monitor").payload,
+                    "last_checkpoint"),
+              "unavailable")
+        << i;
+  }
+  EXPECT_EQ(service->breaker().state(), CircuitBreaker::State::kOpen);
+  EXPECT_EQ(service->breaker().trips(), 1);
+
+  // While open, checkpoints are refused without touching the disk: the
+  // explicit save is rejected, and so is the event that would run one.
+  const int64_t ops_before = faulty_->ops_seen();
+  EXPECT_TRUE(Run(*service, "save").status.IsUnavailable());
+  EXPECT_TRUE(Run(*service, "event add 90 1").status.IsUnavailable());
+  EXPECT_EQ(faulty_->ops_seen(), ops_before);
+  Response monitor = Run(*service, "query monitor");
+  EXPECT_EQ(Field(monitor.payload, "providers"), "5") << monitor.payload;
+  EXPECT_EQ(Field(monitor.payload, "checkpoints"), "0");
+}
+
+TEST_F(DatabaseServiceTest, HalfOpenProbeCheckpointRestoresCheckpoints) {
+  std::unique_ptr<DatabaseService> service = MakeService(
+      /*failure_threshold=*/1);
+  BreakDisk();
+  ASSERT_OK(Run(*service, "event add 91 1").status);
+  ASSERT_EQ(service->breaker().state(), CircuitBreaker::State::kOpen);
+
+  // Disk heals; after the open window the next event's checkpoint is the
+  // probe, it succeeds, and checkpointing is fully restored.
+  Heal();
+  now_ += milliseconds(1500);
+  ASSERT_OK(Run(*service, "event threshold 91 6").status);
+  EXPECT_EQ(service->breaker().state(), CircuitBreaker::State::kClosed);
+  Response monitor = Run(*service, "query monitor");
+  EXPECT_EQ(Field(monitor.payload, "last_checkpoint"), "ok")
+      << monitor.payload;
+  EXPECT_EQ(Field(monitor.payload, "checkpoints"), "1");
+  ASSERT_OK_AND_ASSIGN(storage::Database loaded,
+                       storage::LoadDatabase(dir_.string()));
+  EXPECT_DOUBLE_EQ(loaded.config.ThresholdFor(91), 6.0);
+}
+
+TEST_F(DatabaseServiceTest, ForcedSaveCheckpointsBeforeTheCadence) {
+  std::unique_ptr<DatabaseService> service = MakeService(
+      /*failure_threshold=*/2, /*journal_enabled=*/false,
+      /*checkpoint_every=*/1000);
+  ASSERT_OK(Run(*service, "event add 70 1").status);
+  EXPECT_EQ(Field(Run(*service, "query monitor").payload, "checkpoints"),
+            "0");  // cadence not reached
+
+  Response save = Run(*service, "save");  // forced
+  ASSERT_OK(save.status);
+  EXPECT_EQ(save.payload, "checkpoints_taken=1");
+  Response monitor = Run(*service, "query monitor");
+  EXPECT_EQ(Field(monitor.payload, "checkpoints"), "1");
+  EXPECT_EQ(Field(monitor.payload, "events_since_checkpoint"), "0");
+  ASSERT_OK_AND_ASSIGN(storage::Database loaded,
+                       storage::LoadDatabase(dir_.string()));
+  EXPECT_TRUE(loaded.config.preferences.Contains(70));
+}
+
 // --- Write-ahead journal drills -------------------------------------------
 // These run with the journal ON and periodic checkpoints OFF, so the
 // journal is the only thing standing between an acknowledged event and a
@@ -407,6 +543,222 @@ TEST_F(DatabaseServiceTest, JournalDisabledStatsSayNone) {
   ASSERT_OK(stats.status);
   EXPECT_NE(stats.payload.find(" journal=none"), std::string::npos)
       << stats.payload;
+}
+
+// --- checkpoints off the service lock ------------------------------------
+
+/// Journal on, no in-save retry, and `checkpoint_every` as the cadence.
+DatabaseService::Options DurableOptions(int64_t checkpoint_every) {
+  DatabaseService::Options options;
+  options.checkpoint_every_events = checkpoint_every;
+  options.num_threads = 1;
+  options.save_retry.max_attempts = 1;
+  return options;
+}
+
+// While a checkpoint is held at its first staging write, events are
+// validated, journaled, applied and acknowledged, and reads answered: the
+// checkpoint holds no service lock while it writes the generation.
+TEST_F(DatabaseServiceTest, EventsAckDuringACheckpoint) {
+  deadlock::ScopedDetectionForTest detection(deadlock::Mode::kReport);
+  const int64_t reports_before = deadlock::ViolationCount();
+  testing::GatedFileSystem gated(&storage::GetRealFileSystem(),
+                                 "/.staging-");
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DatabaseService> service,
+      DatabaseService::Create(dir_.string(), &gated, DurableOptions(0)));
+  ASSERT_OK(Run(*service, "event add 9 100").status);
+
+  gated.Arm();
+  std::atomic<bool> save_done{false};
+  Response save;
+  std::thread checkpoint([&] {
+    save = Run(*service, "save");
+    save_done.store(true);
+  });
+  ASSERT_TRUE(testing::WaitFor([&] { return gated.held(); }));
+
+  const char* kLive[] = {
+      "event add 10 5",
+      "query pw",
+      "event pref 10 weight pr 3 3 3",
+      "query provider 10",
+      "event threshold 1 7",
+      "stats",
+      "query monitor",
+  };
+  std::atomic<bool> live_done{false};
+  std::vector<Response> live;
+  std::thread client([&] {
+    for (const char* line : kLive) live.push_back(Run(*service, line));
+    live_done.store(true);
+  });
+  // At a service that checkpoints under its writer lock the client would
+  // wait here for the gate; give it ten seconds, then open the gate anyway
+  // so the test fails instead of hanging.
+  const bool acked_while_held =
+      testing::WaitFor([&] { return live_done.load(); });
+  EXPECT_TRUE(acked_while_held)
+      << "requests waited for the checkpoint's staging";
+  EXPECT_FALSE(save_done.load());
+  gated.Release();
+  client.join();
+  checkpoint.join();
+  ASSERT_EQ(live.size(), std::size(kLive));
+  for (size_t i = 0; i < live.size(); ++i) {
+    EXPECT_OK(live[i].status) << kLive[i];
+  }
+  ASSERT_OK(save.status);
+  EXPECT_EQ(save.payload, "checkpoints_taken=1");
+
+  // The snapshot held event 1; the three events acknowledged during
+  // staging were carried into the new generation's segment.
+  Response stats = Run(*service, "stats");
+  EXPECT_EQ(Field(stats.payload, "events_since_checkpoint"), "3")
+      << stats.payload;
+  EXPECT_EQ(Field(stats.payload, "journal_records"), "3");
+  EXPECT_EQ(Field(stats.payload, "journal"),
+            "journal-" + Field(stats.payload, "last_checkpoint_generation"));
+  service.reset();  // a kill -9: no final checkpoint
+
+  storage::RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      storage::Database reloaded,
+      storage::LoadDatabase(dir_.string(), storage::GetRealFileSystem(),
+                            &report));
+  EXPECT_EQ(report.journal_replayed, 3) << report.ToString();
+  EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(9), 100.0);
+  EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(10), 5.0);
+  EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(1), 7.0);
+  EXPECT_EQ(deadlock::ViolationCount(), reports_before);
+}
+
+// A failed CURRENT swap leaves the old generation committed: the prepared
+// segment is deleted, later events go to the old segment, and a restart
+// replays every one of them.
+TEST_F(JournaledServiceTest, CurrentSwapFailureKeepsAppendingToTheOldSegment) {
+  deadlock::ScopedDetectionForTest detection(deadlock::Mode::kReport);
+  const int64_t reports_before = deadlock::ViolationCount();
+  std::unique_ptr<DatabaseService> service = MakeJournaled();
+  ASSERT_OK(Run(*service, "event add 9 100").status);
+  ASSERT_OK(Run(*service, "event add 10 100").status);
+  const std::string old_segment = Field(Run(*service, "stats").payload,
+                                        "journal");
+
+  // Op 0 on CURRENT.tmp is its write, op 1 the rename onto CURRENT.
+  faulty_->SetPlan({.fail_at_op = 1,
+                    .kind = storage::FaultKind::kFailOp,
+                    .path_filter = "CURRENT.tmp"});
+  EXPECT_TRUE(Run(*service, "save").status.IsUnavailable());
+  EXPECT_EQ(faulty_->faults_injected(), 1);
+  Heal();
+
+  ASSERT_OK(Run(*service, "event add 11 100").status);
+  ASSERT_OK(Run(*service, "event threshold 9 50").status);
+  Response stats = Run(*service, "stats");
+  EXPECT_EQ(Field(stats.payload, "journal"), old_segment) << stats.payload;
+  EXPECT_EQ(Field(stats.payload, "journal_records"), "4");
+  EXPECT_EQ(Field(stats.payload, "last_checkpoint"), "unavailable");
+  // Only the old segment is on disk: the prepared one was discarded.
+  int segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().filename().string().rfind("journal-", 0) == 0) {
+      ++segments;
+    }
+  }
+  EXPECT_EQ(segments, 1);
+  service.reset();  // a kill -9
+
+  storage::RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      storage::Database reloaded,
+      storage::LoadDatabase(dir_.string(), storage::GetRealFileSystem(),
+                            &report));
+  EXPECT_EQ("journal-" + report.loaded_generation, old_segment);
+  EXPECT_EQ(report.journal_replayed, 4) << report.ToString();
+  EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(9), 50.0);
+  EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(11), 100.0);
+
+  // A restarted service replays them too and checkpoints cleanly.
+  service = MakeJournaled();
+  EXPECT_EQ(Field(Run(*service, "query monitor").payload, "providers"), "5");
+  ASSERT_OK(Run(*service, "save").status);
+  EXPECT_EQ(deadlock::ViolationCount(), reports_before);
+}
+
+// Cadence 1 with a slow stage: every event crosses the cadence, but at
+// most one checkpoint is in flight, and after a kill every acknowledged
+// event is in the last committed generation or in its segment — the ones
+// acknowledged while that generation was written in the segment.
+TEST_F(DatabaseServiceTest, CadenceOneKeepsOneCheckpointInFlight) {
+  deadlock::ScopedDetectionForTest detection(deadlock::Mode::kReport);
+  const int64_t reports_before = deadlock::ViolationCount();
+  testing::GatedFileSystem slow(&storage::GetRealFileSystem(), "/.staging-",
+                                std::chrono::milliseconds(2));
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DatabaseService> service,
+      DatabaseService::Create(dir_.string(), &slow, DurableOptions(1)));
+
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 12;
+  std::vector<std::thread> writers;
+  std::atomic<int> acked{0};
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int64_t provider = 1000 + t * 100 + i;
+        if (Run(*service, "event add " + std::to_string(provider) + " 1")
+                .status.ok()) {
+          acked.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(acked.load(), kThreads * kPerThread);
+
+  // Make the last checkpoint overlap acknowledged events for certain: hold
+  // its staging while three more events land (their cadence crossings
+  // find it in flight), then kill the service once it has committed.
+  slow.Arm();
+  std::thread crossing(
+      [&] { EXPECT_OK(Run(*service, "event add 2000 1").status); });
+  ASSERT_TRUE(testing::WaitFor([&] { return slow.held(); }));
+  for (int64_t provider = 2001; provider <= 2003; ++provider) {
+    EXPECT_OK(
+        Run(*service, "event add " + std::to_string(provider) + " 1").status);
+  }
+  slow.Release();
+  crossing.join();
+  EXPECT_EQ(slow.max_concurrent_gated_writes(), 1);
+
+  Response stats = Run(*service, "stats");
+  const int64_t checkpoints = std::stoll(Field(stats.payload, "checkpoints"));
+  EXPECT_GE(checkpoints, 1) << stats.payload;
+  EXPECT_LE(checkpoints, kThreads * kPerThread + 1);  // not the 3 held ones
+  EXPECT_EQ(Field(stats.payload, "last_checkpoint"), "ok");
+  const std::string generation =
+      Field(stats.payload, "last_checkpoint_generation");
+  const std::string carried = Field(stats.payload, "events_since_checkpoint");
+  service.reset();  // a kill -9
+
+  storage::RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      storage::Database reloaded,
+      storage::LoadDatabase(dir_.string(), storage::GetRealFileSystem(),
+                            &report));
+  EXPECT_EQ(report.loaded_generation, generation) << report.ToString();
+  EXPECT_EQ(carried, "3");
+  EXPECT_EQ(report.journal_replayed, 3);
+  for (int64_t provider = 2000; provider <= 2003; ++provider) {
+    EXPECT_TRUE(reloaded.config.preferences.Contains(provider)) << provider;
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      EXPECT_TRUE(reloaded.config.preferences.Contains(1000 + t * 100 + i));
+    }
+  }
+  EXPECT_EQ(deadlock::ViolationCount(), reports_before);
 }
 
 // --- incremental-view serve surface ---------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/deadlock.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "privacy/policy_dsl.h"
@@ -437,9 +439,15 @@ TEST_F(JournalTest, RotationStartsAFreshSegmentAndClearsTheWedge) {
   EXPECT_FALSE(scan.torn_tail);
   ASSERT_EQ(scan.payloads.size(), 1u);
 
-  // Rotation (disk healed) re-arms the journal on a fresh segment.
+  // A checkpoint's successor segment (disk healed) re-arms the journal on
+  // a fresh segment: the mark is the whole durable segment, so nothing is
+  // carried.
   faulty.SetPlan({.fail_at_op = -1});
-  ASSERT_OK(journal->RotateTo("gen-1"));
+  ASSERT_OK_AND_ASSIGN(
+      Journal::PreparedSegment next,
+      journal->PrepareSuccessor("gen-1", journal->active_segment_bytes()));
+  EXPECT_TRUE(journal->wedged());
+  journal->Activate(std::move(next));
   EXPECT_FALSE(journal->wedged());
   EXPECT_EQ(journal->segment_name(), "journal-gen-1");
   EXPECT_EQ(journal->records_in_segment(), 0);
@@ -449,6 +457,126 @@ TEST_F(JournalTest, RotationStartsAFreshSegmentAndClearsTheWedge) {
   EXPECT_EQ(scan.base_generation, "gen-1");
   ASSERT_EQ(scan.payloads.size(), 1u);
   EXPECT_EQ(scan.payloads[0], "add 8 0.5");
+}
+
+// A checkpoint snapshots the config at a mark; the frames appended after
+// it are carried into the successor segment, and appends after the switch
+// land there.
+TEST_F(JournalTest, SuccessorCarriesTheFramesPastTheMark) {
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Journal> journal,
+      Journal::Open(dir_.string(), "gen-0", real_, Journal::Options{}));
+  ASSERT_OK(journal->Append("add 7 0.5"));
+  const uint64_t mark = journal->active_segment_bytes();
+  ASSERT_OK(journal->Append("add 8 0.5"));
+  ASSERT_OK(journal->Append("threshold 8 2"));
+
+  ASSERT_OK_AND_ASSIGN(Journal::PreparedSegment next,
+                       journal->PrepareSuccessor("gen-1", mark));
+  // Prepared but not active: the old segment still takes the appends.
+  EXPECT_EQ(journal->segment_name(), "journal-gen-0");
+  EXPECT_EQ(next.records, 2);
+  ASSERT_OK_AND_ASSIGN(std::string contents,
+                       real_.ReadFile(SegmentPath("gen-1")));
+  EXPECT_EQ(contents.size(), next.bytes);
+
+  journal->Activate(std::move(next));
+  EXPECT_EQ(journal->segment_name(), "journal-gen-1");
+  EXPECT_EQ(journal->records_in_segment(), 2);
+  ASSERT_OK(journal->Append("remove 7"));
+  ASSERT_OK_AND_ASSIGN(contents, real_.ReadFile(SegmentPath("gen-1")));
+  EXPECT_EQ(contents.size(), journal->active_segment_bytes());
+  ASSERT_OK_AND_ASSIGN(JournalScan scan, ScanJournalSegment(contents));
+  EXPECT_EQ(scan.base_generation, "gen-1");
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.payloads,
+            (std::vector<std::string>{"add 8 0.5", "threshold 8 2",
+                                      "remove 7"}));
+  // The old segment is left for the checkpoint's prune, untouched.
+  ASSERT_OK_AND_ASSIGN(contents, real_.ReadFile(SegmentPath("gen-0")));
+  ASSERT_OK_AND_ASSIGN(scan, ScanJournalSegment(contents));
+  EXPECT_EQ(scan.payloads.size(), 3u);
+
+  EXPECT_TRUE(journal->PrepareSuccessor("gen-2", 1 << 20)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
+// A commit that fails after the successor was prepared discards it; the
+// journal keeps appending to the old segment, which stays whole.
+TEST_F(JournalTest, DiscardedSuccessorLeavesTheActiveSegment) {
+  FaultInjectingFileSystem faulty(&real_, Rng(5));
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Journal> journal,
+      Journal::Open(dir_.string(), "gen-0", faulty, Journal::Options{}));
+  ASSERT_OK(journal->Append("add 7 0.5"));
+  const uint64_t mark = journal->active_segment_bytes();
+  ASSERT_OK(journal->Append("add 8 0.5"));
+
+  // The successor's fsync fails: nothing is left of it.
+  faulty.SetPlan({.fail_at_op = 2,
+                  .kind = FaultKind::kFailOp,
+                  .path_filter = "journal-gen-1"});
+  EXPECT_FALSE(journal->PrepareSuccessor("gen-1", mark).ok());
+  EXPECT_FALSE(real_.Exists(SegmentPath("gen-1")));
+
+  faulty.SetPlan({.fail_at_op = -1});
+  ASSERT_OK_AND_ASSIGN(Journal::PreparedSegment next,
+                       journal->PrepareSuccessor("gen-1", mark));
+  journal->Discard(std::move(next));
+  EXPECT_FALSE(real_.Exists(SegmentPath("gen-1")));
+  EXPECT_FALSE(journal->wedged());
+  ASSERT_OK(journal->Append("add 9 0.5"));
+  EXPECT_EQ(journal->segment_name(), "journal-gen-0");
+  ASSERT_OK_AND_ASSIGN(std::string contents,
+                       real_.ReadFile(SegmentPath("gen-0")));
+  ASSERT_OK_AND_ASSIGN(JournalScan scan, ScanJournalSegment(contents));
+  EXPECT_EQ(scan.payloads.size(), 3u);
+  EXPECT_FALSE(scan.torn_tail);
+}
+
+// A checkpoint's staging writes overlap journal appends on other threads,
+// so the fault injector's counter, Rng, plan and crash latch are shared.
+// Two threads issue mutating ops under a path_filter plan; the op count and
+// the injected faults must come out exact.
+TEST_F(JournalTest, FaultPlanIsExactUnderConcurrentOps) {
+  deadlock::ScopedDetectionForTest detection(deadlock::Mode::kReport);
+  const int64_t reports_before = deadlock::ViolationCount();
+  FaultInjectingFileSystem faulty(&real_, Rng(9));
+  constexpr int kOpsPerThread = 100;
+  constexpr int kFaults = 20;
+  faulty.SetPlan({.fail_at_op = 50,
+                  .kind = FaultKind::kFailOp,
+                  .transient_failures = kFaults,
+                  .path_filter = "journal-"});
+  std::atomic<int> failed{0};
+  std::atomic<int> failed_outside_filter{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const std::string suffix =
+            std::to_string(t) + "-" + std::to_string(i % 4);
+        // Counted: inside the filter.
+        if (!faulty.WriteFile((dir_ / ("journal-" + suffix)).string(), "x")
+                 .ok()) {
+          failed.fetch_add(1);
+        }
+        // Uncounted pass-through: outside the filter.
+        if (!faulty.WriteFile((dir_ / ("other-" + suffix)).string(), "y")
+                 .ok()) {
+          failed_outside_filter.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(faulty.ops_seen(), 2 * kOpsPerThread);
+  EXPECT_EQ(faulty.faults_injected(), kFaults);
+  EXPECT_EQ(failed.load(), kFaults);
+  EXPECT_EQ(failed_outside_filter.load(), 0);
+  EXPECT_FALSE(faulty.crashed());
+  EXPECT_EQ(deadlock::ViolationCount(), reports_before);
 }
 
 TEST_F(JournalTest, ConcurrentAppendersAllLandExactlyOnce) {
